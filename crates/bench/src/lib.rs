@@ -3,8 +3,7 @@
 //! The heavy lifting lives in [`experiments`]: one driver per paper
 //! artifact (Table 2, Figures 2–8, plus ablations), each returning a
 //! [`dsp_analysis::TextTable`]. The `repro` binary fronts them with a
-//! CLI; the Criterion benches in `benches/` reuse the same drivers at
-//! reduced scale.
+//! CLI.
 //!
 //! ```bash
 //! cargo run --release -p dsp-fleet --bin repro -- all --scale standard

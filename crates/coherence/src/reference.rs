@@ -4,14 +4,10 @@
 //! [`CoherenceTracker`](crate::CoherenceTracker) byte for byte in
 //! behavior: block state in a `std::collections::HashMap` (SipHash) and
 //! the original classify → state → entry probe sequence in `access`.
-//! It exists for two consumers:
-//!
-//! * the property tests, which assert the fast open-addressing tracker
-//!   is observationally equivalent to this model across arbitrary
-//!   access/evict sequences, and
-//! * the `repro hotpath-bench` driver and the Criterion benches, which
-//!   record the fast tracker's speedup over this baseline in
-//!   `BENCH_hotpath.json`.
+//! Its consumer is the equivalence property tests in
+//! `tests/properties.rs`, which assert the fast open-addressing tracker
+//! is observationally equivalent to this model across arbitrary
+//! access/evict sequences.
 //!
 //! Protocol semantics (the `reconcile` function) are shared with the
 //! fast tracker, so the two can only diverge in state storage — which

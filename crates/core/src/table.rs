@@ -356,9 +356,9 @@ impl<E: Clone + Default> PredictorTable<E> {
 /// The seed implementation of [`PredictorTable`]: a `HashMap` for the
 /// unbounded case and per-set `Vec<Way>` lists for the finite one.
 ///
-/// Kept as the reference oracle for equivalence property tests and as
-/// the baseline the `predictor-table` hot-path benchmark measures
-/// against — the same pattern as `dsp_coherence::ReferenceTracker` and
+/// Kept as the reference oracle for the equivalence property tests in
+/// `tests/table_equivalence.rs` — the same pattern as
+/// `dsp_coherence::ReferenceTracker` and
 /// `dsp_interconnect::ReferenceCrossbar`.
 #[derive(Clone, Debug)]
 pub struct ReferencePredictorTable<E> {

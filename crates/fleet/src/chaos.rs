@@ -67,7 +67,7 @@ impl ChaosSpec {
     }
 }
 
-/// Counters the proxy accumulates, for logs and BENCH rows.
+/// Counters the proxy accumulates, for logs and the `repro fleet` summary.
 #[derive(Debug, Default)]
 pub struct ChaosCounters {
     /// Connections accepted from workers.

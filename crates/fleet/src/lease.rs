@@ -436,7 +436,7 @@ pub struct LeaseSizer {
     max_cells: usize,
     /// EWMA of per-cell milliseconds; `None` until the first sample.
     ewma_ms: Option<u64>,
-    /// Smallest size granted so far (trajectory, for BENCH rows).
+    /// Smallest size granted so far (the trajectory `repro fleet` prints).
     min_size: usize,
     /// Largest size granted so far.
     max_size: usize,

@@ -155,7 +155,7 @@ impl ProtocolKind {
 pub enum TrainingMode {
     /// The seed path: one queued [`crate::Event::RequestArrive`] per
     /// request destination, trained when the event fires. Kept as the
-    /// reference implementation and benchmark baseline.
+    /// reference implementation the equivalence tests compare against.
     Eager,
     /// The production path: request arrivals append to allocation-free
     /// per-node inboxes and are drained — in the exact (time, sequence)
@@ -182,8 +182,8 @@ pub enum DispatchMode {
     #[default]
     Batched,
     /// The seed path: one pop, one `match`, one handler call per
-    /// event. Kept as the reference implementation and benchmark
-    /// baseline.
+    /// event. Kept as the reference implementation the equivalence
+    /// tests compare against.
     PerEvent,
 }
 

@@ -53,6 +53,4 @@ pub use queue::{
     Event, EventBatch, EventKind, EventQueue, QueueCounters, ReferenceQueue, SlotDrain, WheelQueue,
 };
 pub use report::{ClassCounts, LatencyHistogram, SimReport};
-pub use system::{
-    simulate, simulate_with_partition, simulate_with_queue_stats, System, TracePartition,
-};
+pub use system::{simulate, simulate_with_partition, System, TracePartition};

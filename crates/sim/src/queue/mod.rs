@@ -10,8 +10,7 @@
 //! far-future events, which are promoted into the wheel as the cursor
 //! approaches them. The seed `BinaryHeap` implementation survives as
 //! [`ReferenceQueue`] — the oracle for the pop-order equivalence
-//! property tests and the baseline the `queue` hot-path benchmark
-//! measures against.
+//! property tests in `tests/queue_equivalence.rs`.
 //!
 //! Both queues pop in identical order: time, then push sequence (FIFO
 //! among equal times).
@@ -26,9 +25,9 @@ pub use wheel::WheelQueue;
 pub type EventQueue = WheelQueue;
 
 /// Cheap occupancy counters a [`WheelQueue`] maintains over its
-/// lifetime, surfaced by the `hotpath-bench` `sim` row so queue-pressure
-/// changes (like the lazy-training fan-out removal) are visible without
-/// re-profiling.
+/// lifetime, surfaced by `perfbench`'s `sim.queue_*` metrics so
+/// queue-pressure changes (like the lazy-training fan-out removal) are
+/// visible without re-profiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Events pushed (wheel buckets and overflow heap combined).

@@ -232,11 +232,11 @@ impl<const W: usize> System<W> {
 
     /// Runs to completion, also returning the event queue's occupancy
     /// counters (pushes/pops/promotions/remaining) — the queue-pressure
-    /// trend line the `hotpath-bench` `sim` row records. The counters
-    /// always reconcile (`pushed == popped + remaining`); their split
-    /// differs between dispatch modes, because a finishing batch drains
-    /// (pops) its whole timestamp while the per-event loop leaves
-    /// post-completion events queued.
+    /// trend line `perfbench` records. The counters always reconcile
+    /// (`pushed == popped + remaining`); their split differs between
+    /// dispatch modes, because a finishing batch drains (pops) its whole
+    /// timestamp while the per-event loop leaves post-completion events
+    /// queued.
     pub fn run_with_queue_stats(mut self) -> (SimReport, QueueCounters) {
         self.run_core();
         let counters = self.queue.counters();
@@ -294,10 +294,9 @@ impl<const W: usize> System<W> {
         self.xbar.assert_conserved();
     }
 
-    /// The per-event loop: pop one entry, dispatch, repeat. Kept both
-    /// as the reference semantics the batched loop must reproduce
-    /// exactly and as the baseline the `dispatch` hot-path bench row
-    /// measures against.
+    /// The per-event loop: pop one entry, dispatch, repeat. Kept as the
+    /// reference semantics the batched loop must reproduce exactly
+    /// (pinned by `tests/dispatch_equivalence.rs`).
     fn run_per_event(&mut self) -> (u64, u64) {
         let mut stop = (0u64, 0u64);
         while self.completed < self.total_misses {
@@ -1201,21 +1200,6 @@ pub fn simulate_with_partition(
     match sim.width.words(sys.num_nodes()) {
         1 => System::<1>::with_partition(sys, target, spec, sim, partition).run(),
         _ => System::<4>::with_partition(sys, target, spec, sim, partition).run(),
-    }
-}
-
-/// [`simulate_with_partition`], also returning the event queue's
-/// occupancy counters (the `hotpath-bench` `sim` row).
-pub fn simulate_with_queue_stats(
-    sys: &SystemConfig,
-    target: TargetSystem,
-    spec: &WorkloadSpec,
-    sim: SimConfig,
-    partition: TracePartition,
-) -> (SimReport, QueueCounters) {
-    match sim.width.words(sys.num_nodes()) {
-        1 => System::<1>::with_partition(sys, target, spec, sim, partition).run_with_queue_stats(),
-        _ => System::<4>::with_partition(sys, target, spec, sim, partition).run_with_queue_stats(),
     }
 }
 

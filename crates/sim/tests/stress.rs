@@ -11,7 +11,7 @@ fn spec(w: Workload) -> WorkloadSpec {
     WorkloadSpec::preset(w, &SystemConfig::isca03()).scaled(1.0 / 512.0)
 }
 
-fn run(protocol: ProtocolKind, cpu: CpuModel, seed: u64) -> dsp_sim::SimReport {
+fn system(protocol: ProtocolKind, cpu: CpuModel, seed: u64) -> System<4> {
     let sys = SystemConfig::isca03();
     let sim = SimConfig::new(protocol).cpu(cpu).misses(20, 150).seed(seed);
     System::<4>::new(
@@ -20,12 +20,16 @@ fn run(protocol: ProtocolKind, cpu: CpuModel, seed: u64) -> dsp_sim::SimReport {
         &spec(Workload::Apache),
         sim,
     )
-    .run()
+}
+
+fn run(protocol: ProtocolKind, cpu: CpuModel, seed: u64) -> dsp_sim::SimReport {
+    system(protocol, cpu, seed).run()
 }
 
 /// Every protocol × CPU-model combination completes exactly the
 /// configured number of misses — conservation, no deadlock, no
-/// double-completion.
+/// double-completion — and its event queue reconciles: every pushed
+/// event was popped or is still pending at the end of the run.
 #[test]
 fn conservation_across_all_protocols() {
     let protocols = [
@@ -40,9 +44,15 @@ fn conservation_across_all_protocols() {
     for protocol in protocols {
         for cpu in [CpuModel::Simple, CpuModel::Detailed { max_outstanding: 4 }] {
             let label = protocol.label();
-            let r = run(protocol, cpu, 7);
+            let (r, queue) = system(protocol, cpu, 7).run_with_queue_stats();
             assert_eq!(r.measured_misses, 150 * 16, "{label} / {cpu:?}");
             assert!(r.runtime_ns > 0, "{label} / {cpu:?}");
+            assert!(queue.popped > 0, "{label} / {cpu:?}: {queue:?}");
+            assert_eq!(
+                queue.pushed,
+                queue.popped + queue.remaining,
+                "{label} / {cpu:?}: queue counters must reconcile"
+            );
         }
     }
 }

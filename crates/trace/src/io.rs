@@ -185,12 +185,17 @@ pub fn read_trace_bin<R: std::io::Read>(mut input: R) -> Result<Vec<TraceRecord>
     if version != BIN_VERSION {
         return Err(bad("unsupported binary trace version"));
     }
-    let count = u64::from_le_bytes(all[all.len() - 8..].try_into().expect("8 bytes")) as usize;
+    let count = u64::from_le_bytes(all[all.len() - 8..].try_into().expect("8 bytes"));
     let body = &all[8..all.len() - 8];
-    if body.len() != count * BIN_RECORD_BYTES {
+    // The trailer is untrusted input: a count whose byte size overflows
+    // cannot describe any body present, so it is a truncation too.
+    let body_bytes = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(BIN_RECORD_BYTES));
+    if body_bytes != Some(body.len()) {
         return Err(bad("truncated binary trace body"));
     }
-    let mut records = Vec::with_capacity(count);
+    let mut records = Vec::with_capacity(body.len() / BIN_RECORD_BYTES);
     for chunk in body.chunks_exact(BIN_RECORD_BYTES) {
         let requester = NodeId::new(chunk[0] as usize);
         let kind = if chunk[1] != 0 {
@@ -291,6 +296,12 @@ mod tests {
         // Chop a record out of the middle.
         buf.drain(30..48);
         let err = read_trace_bin(&buf[..]).unwrap_err();
+        assert!(err.to_string().contains("truncated"));
+        // A header plus a forged trailer count whose byte size overflows.
+        let mut forged = BIN_MAGIC.to_vec();
+        forged.extend_from_slice(&BIN_VERSION.to_le_bytes());
+        forged.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        let err = read_trace_bin(&forged[..]).unwrap_err();
         assert!(err.to_string().contains("truncated"));
     }
 
