@@ -55,11 +55,11 @@
 //! challenge; `--chaos SEED` routes every worker through a seeded
 //! flaky-TCP proxy (delays, stalls, mid-message disconnects) and still
 //! demands `fleet_identical`; `--crash-after N` stops the coordinator
-//! cold once N cells are complete, leaving the write-ahead log and
+//! cold once N cells are complete, leaving the master and lease
 //! journals on disk; a second invocation with `--recover` (same
-//! experiment, scale, and `--dir`) rebuilds the ledger from the WAL,
-//! prints `recovered_from_wal: true`, and finishes the sweep —
-//! byte-identical to the serial reference.
+//! experiment, scale, and `--dir`) adopts every cell those journals
+//! hold, prints `recovered_from_journals: true`, and finishes the
+//! sweep — byte-identical to the serial reference.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -271,9 +271,9 @@ struct Args {
     /// For `fleet`: route workers through a seeded flaky-TCP proxy.
     chaos: Option<u64>,
     /// For `fleet`: simulate a coordinator crash after N completed
-    /// cells, leaving the WAL and journals for `--recover`.
+    /// cells, leaving the journals for `--recover`.
     crash_after: Option<usize>,
-    /// For `fleet`: rebuild the ledger from the WAL + journals in the
+    /// For `fleet`: rebuild the ledger from the journals in the
     /// fleet directory and finish the sweep.
     recover: bool,
     /// For `fleet-status`: results page start.
@@ -720,7 +720,7 @@ fn run_fleet_once(
     config.token = args.token.clone();
     let coordinator = if args.recover {
         Coordinator::recover(plan, config)
-            .map_err(|e| format!("cannot recover coordinator from WAL: {e}"))?
+            .map_err(|e| format!("cannot recover coordinator from journals: {e}"))?
     } else {
         Coordinator::start(plan, config).map_err(|e| format!("cannot start coordinator: {e}"))?
     };
@@ -741,7 +741,7 @@ fn run_fleet_once(
     println!(
         "[fleet: coordinator on {addr}{}{}, {workers} workers, {cells} cells]",
         if args.recover {
-            " (recovered from WAL)"
+            " (recovered from journals)"
         } else {
             ""
         },
@@ -800,8 +800,8 @@ fn run_fleet_once(
         }
     }
 
-    // Simulated coordinator crash: stop serving mid-sweep, leaving the
-    // WAL and every journal exactly as a real crash would. The
+    // Simulated coordinator crash: stop serving mid-sweep, leaving
+    // every journal exactly as a real crash would. The
     // directory is then ready for `repro fleet ... --recover`.
     if let Some(limit) = args.crash_after {
         let deadline = Instant::now() + Duration::from_secs(300);
@@ -829,7 +829,7 @@ fn run_fleet_once(
             proxy.shutdown();
         }
         println!(
-            "[fleet: coordinator crashed after >= {limit} cells; WAL and journals left in {}]",
+            "[fleet: coordinator crashed after >= {limit} cells; journals left in {}]",
             dir.display()
         );
         return Ok(FleetOutcome {
@@ -876,7 +876,7 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| args.out_dir.join(format!("fleet-{name}")));
     let outcome = run_fleet_once(name, plan, args, &dir, &reference.to_csv())?;
     let Some(report) = outcome.report else {
-        // Simulated crash: the WAL and journals are the deliverable.
+        // Simulated crash: the journals are the deliverable.
         println!(
             "[fleet: resume with `repro fleet {name} --scale {} --dir {} --recover`]",
             args.scale_name,
@@ -908,11 +908,10 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         },
     );
     println!(
-        "[fleet: {} sessions resumed, {} leases re-adopted, {} WAL events replayed, \
-         {} cells recovered | lease size min {} max {} final {}]",
+        "[fleet: {} sessions resumed, {} leases re-adopted, {} cells recovered | \
+         lease size min {} max {} final {}]",
         c.sessions_resumed,
         c.leases_readopted,
-        c.wal_events_replayed,
         c.cells_recovered,
         report.lease_sizes.0,
         report.lease_sizes.1,
@@ -926,7 +925,7 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         );
     }
     if args.recover {
-        println!("recovered_from_wal: true");
+        println!("recovered_from_journals: true");
     }
     println!("leases_reconciled: {}", report.reconciled);
     println!("fleet_identical: {identical}");

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
     harvest_journal, merge_journals, scan_journal, tail_journal, CellId, CellOutput, CellRecord,
-    ExperimentPlan, JournalWriter, ShardSpec,
+    ExperimentPlan, JournalWriter, SessionError, ShardSpec,
 };
 
 use crate::auth::{fresh_nonce, mac64};
@@ -46,7 +46,13 @@ use crate::protocol::{
     self, MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION,
 };
 use crate::stats::{CellProgress, FleetCounters, ResultsPage, StatusReport};
-use crate::wal::{read_wal, WalEvent, WalWriter};
+
+/// Wall-clock budget one lease should represent; the adaptive sizer
+/// divides this by the observed per-cell EWMA.
+const TARGET_LEASE_MS: u64 = 1_500;
+
+/// Maintenance cadence (journal tailing, expiry, accept polling).
+const POLL_MS: u64 = 50;
 
 /// Coordinator tuning.
 #[derive(Clone, Debug)]
@@ -55,19 +61,14 @@ pub struct FleetConfig {
     pub experiment: String,
     /// Scale preset name workers feed to `Scale::parse`.
     pub scale_name: String,
-    /// Fleet directory: master journal, WAL, lease journals,
-    /// coordinator log. Workers on the same machine journal here too.
+    /// Fleet directory: master journal, lease journals, coordinator
+    /// log. Workers on the same machine journal here too.
     pub dir: PathBuf,
     /// Maximum cells per lease (the adaptive sizer's clamp).
     pub lease_cells: usize,
-    /// Wall-clock budget one lease should represent; the adaptive sizer
-    /// divides this by the observed per-cell EWMA.
-    pub target_lease_ms: u64,
     /// Liveness timeout: a lease with no protocol message *and* no
     /// journal growth for this long is expired and its cells re-leased.
     pub timeout_ms: u64,
-    /// Maintenance cadence (journal tailing, expiry, accept polling).
-    pub poll_ms: u64,
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port.
     pub port: u16,
     /// Shared fleet token; clients must answer the handshake challenge
@@ -84,9 +85,7 @@ impl FleetConfig {
             scale_name: scale_name.to_string(),
             dir: dir.into(),
             lease_cells: 4,
-            target_lease_ms: 1_500,
             timeout_ms: 10_000,
-            poll_ms: 50,
             port: 0,
             token: String::new(),
         }
@@ -127,8 +126,6 @@ struct State {
     ledger: LeaseLedger,
     /// Master journal writer; taken (closed) at completion.
     master: Option<JournalWriter>,
-    /// Write-ahead log of ledger transitions, for crash recovery.
-    wal: Option<WalWriter>,
     /// Adaptive lease sizing (EWMA of per-cell wall clock).
     sizer: LeaseSizer,
     /// Authenticated sessions by id.
@@ -136,12 +133,12 @@ struct State {
     next_session: u64,
     /// Journal path per active lease, for tailing and harvest.
     lease_journals: HashMap<u64, PathBuf>,
-    /// Every journal path ever assigned, for the final compaction.
+    /// Every lease journal path ever assigned (or found on disk at
+    /// recovery), for the final compaction.
     journals: Vec<PathBuf>,
     /// Accepted-result attribution by plan index.
     worker_of_cell: Vec<Option<String>>,
-    /// First unrecoverable failure (master-journal or WAL I/O, bad
-    /// merge).
+    /// First unrecoverable failure (master-journal I/O, bad merge).
     failure: Option<String>,
     /// Set exactly once, when the sweep finishes (or fails).
     report: Option<Result<FleetReport, String>>,
@@ -190,214 +187,95 @@ impl Coordinator {
     pub fn start(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
         std::fs::create_dir_all(&config.dir)?;
         let log_file = File::create(config.dir.join("coordinator.log"))?;
-        let master_path = master_path(&config);
-        let master = JournalWriter::create(&master_path, &plan, &ShardSpec::full())
+        let master = JournalWriter::create(&master_path(&config), &plan, &ShardSpec::full())
             .map_err(|e| io::Error::other(e.to_string()))?;
-        let identity = PlanIdentity::of(&config.experiment, &plan);
-        let wal = WalWriter::create(&wal_path(&config), &identity)?;
-
-        let ids = CellId::assign(&plan.cells);
-        let cells = plan.cells.len();
-        let state = State {
-            ledger: LeaseLedger::new(ids.clone()),
-            master: Some(master),
-            wal: Some(wal),
-            sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
-            sessions: HashMap::new(),
-            next_session: 1,
-            lease_journals: HashMap::new(),
+        let ledger = LeaseLedger::new(CellId::assign(&plan.cells));
+        let durable = Durable {
+            worker_of_cell: vec![None; ledger.total()],
+            ledger,
+            master,
             journals: Vec::new(),
-            worker_of_cell: vec![None; cells],
-            failure: None,
-            report: None,
         };
-        let shared = Arc::new(Shared {
-            identity,
-            config,
-            master_path,
-            epoch: Instant::now(),
-            state: Mutex::new(state),
-            done: Condvar::new(),
-            stop: AtomicBool::new(false),
-            log: Mutex::new(BufWriter::new(log_file)),
-            ids,
-            plan,
-        });
-        serve(shared, "up")
+        serve(plan, config, durable, log_file, "up")
     }
 
-    /// Rebuilds a crashed coordinator from its fleet directory and
-    /// resumes the sweep: replay the WAL into a fresh ledger (same
-    /// transitions, same lease ids, same churn counters), re-adopt the
-    /// master journal's durable outputs, harvest whatever the orphaned
-    /// leases journaled before the crash, expire them, and serve the
-    /// rest of the plan as usual. Sessions do not survive the crash:
-    /// an old worker that reconnects gets a fresh session, and its old
-    /// lease reports are answered `Stale` — which workers already treat
-    /// as routine.
+    /// Rebuilds a crashed coordinator from its fleet directory alone
+    /// and resumes the sweep. The master journal (whose header pins the
+    /// plan) is reopened for appending; every
+    /// `<experiment>.lease<N>.<worker>.jsonl` in the directory is
+    /// harvested, and each of its cells the master journal lacks is
+    /// appended to it. A fresh ledger adopts all of those cells as done
+    /// and serves the rest of the plan through the usual grant, steal
+    /// and expire path, with new lease ids above every one on disk so
+    /// no grant truncates a journal of the crashed run. Sessions do not
+    /// survive the crash: an old worker that reconnects gets a fresh
+    /// session, and its old lease reports are answered `Stale` — which
+    /// workers already treat as routine.
     ///
     /// # Errors
     ///
-    /// A missing/corrupt WAL or master journal, a WAL from a different
-    /// plan, or the same filesystem/bind failures as
-    /// [`start`](Self::start).
+    /// A missing or corrupt master journal, a lease journal from a
+    /// different plan (the error names the file), or the same
+    /// filesystem/bind failures as [`start`](Self::start).
     pub fn recover(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
+        let invalid = |e: SessionError| io::Error::new(ErrorKind::InvalidData, e.to_string());
         let log_file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(config.dir.join("coordinator.log"))?;
         let master_path = master_path(&config);
-        let identity = PlanIdentity::of(&config.experiment, &plan);
-        let ids = CellId::assign(&plan.cells);
-        let index_of: HashMap<CellId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let invalid = |message: String| io::Error::new(ErrorKind::InvalidData, message);
-
-        // 1. Replay the WAL: the ledger goes through the exact
-        //    transitions the dead coordinator logged.
-        let contents = read_wal(&wal_path(&config), &identity)?;
-        let mut ledger = LeaseLedger::new(ids.clone());
-        let mut lease_journals = HashMap::new();
-        let mut journals: Vec<PathBuf> = Vec::new();
-        let mut worker_of_cell: Vec<Option<String>> = vec![None; ids.len()];
-        let mut lease_worker: HashMap<u64, String> = HashMap::new();
-        for event in &contents.events {
-            match event {
-                WalEvent::Granted {
-                    lease,
-                    worker,
-                    cells,
-                    journal,
-                } => {
-                    let cell_ids = cells
-                        .iter()
-                        .map(|hex| {
-                            CellId::from_hex(hex)
-                                .ok_or_else(|| invalid(format!("WAL has bad cell id {hex:?}")))
-                        })
-                        .collect::<io::Result<Vec<CellId>>>()?;
-                    ledger
-                        .replay_granted(*lease, worker, &cell_ids, 0)
-                        .map_err(invalid)?;
-                    lease_worker.insert(*lease, worker.clone());
-                    let path = config.dir.join(journal);
-                    lease_journals.insert(*lease, path.clone());
-                    if !journals.contains(&path) {
-                        journals.push(path);
-                    }
-                }
-                WalEvent::CellDone { lease, cell } => {
-                    let id = CellId::from_hex(cell)
-                        .ok_or_else(|| invalid(format!("WAL has bad cell id {cell:?}")))?;
-                    match ledger.complete_cell(*lease, id, 0) {
-                        CellReport::Accepted => {
-                            worker_of_cell[index_of[&id]] = lease_worker.get(lease).cloned();
-                        }
-                        other => {
-                            return Err(invalid(format!(
-                                "WAL replay: completion of {cell} under lease {lease} \
-                                 judged {other:?}"
-                            )));
-                        }
-                    }
-                }
-                WalEvent::LeaseDone { lease } => {
-                    ledger.complete_lease(*lease);
-                }
-                WalEvent::Expired { lease } => {
-                    ledger.expire(*lease);
-                }
-            }
+        let (master_records, master_valid) = scan_journal(&plan, &master_path).map_err(invalid)?;
+        let mut master = JournalWriter::append_to(&master_path, master_valid).map_err(invalid)?;
+        let mut ledger = LeaseLedger::new(CellId::assign(&plan.cells));
+        for (id, _, _) in &master_records {
+            ledger.adopt(*id);
         }
-        ledger.counters.wal_events_replayed = contents.events.len() as u64;
-        let mut wal = WalWriter::append_to(&wal_path(&config), contents.valid_bytes)?;
-
-        // 2. Heal the crash window: a master record whose CellDone
-        //    never reached the WAL (the WAL is at most one transition
-        //    behind the master, but scan everything).
-        let (master_records, master_valid) =
-            scan_journal(&plan, &master_path).map_err(|e| invalid(e.to_string()))?;
-        let mut recovered = 0u64;
-        for (id, index, _output) in &master_records {
-            let (_, state_name, holder) = ledger
-                .cell_view(*index)
-                .ok_or_else(|| invalid(format!("master journal cell {id} out of range")))?;
-            if state_name == "done" {
-                continue; // the WAL already replayed this completion
+        let mut worker_of_cell = vec![None; ledger.total()];
+        let mut journals = Vec::new();
+        for (lease, worker, path) in lease_journals_on_disk(&config)? {
+            ledger.skip_leases_through(lease);
+            // A worker killed while creating its journal leaves it
+            // without a header; such a file holds no cells.
+            if tail_journal(&path)?.lines == 0 {
+                continue;
             }
-            let Some(holder) = holder else {
-                return Err(invalid(format!(
-                    "master journal has cell {id} but no lease holds it in the WAL"
-                )));
-            };
-            if ledger.complete_cell(holder, *id, 0) != CellReport::Accepted {
-                return Err(invalid(format!(
-                    "master journal cell {id} did not re-complete under lease {holder}"
-                )));
+            for (id, index, output) in harvest_journal(&plan, &path).map_err(invalid)? {
+                if ledger.adopt(id) {
+                    let record = CellRecord {
+                        id,
+                        index,
+                        replayed: false,
+                        output,
+                    };
+                    master.append(&record).map_err(invalid)?;
+                }
+                worker_of_cell[index].get_or_insert_with(|| worker.clone());
             }
-            wal.append(&WalEvent::CellDone {
-                lease: holder,
-                cell: id.to_hex(),
-            })?;
-            worker_of_cell[*index] = lease_worker.get(&holder).cloned();
-            recovered += 1;
+            journals.push(path);
         }
-        ledger.counters.cells_recovered = recovered;
-        let master = JournalWriter::append_to(&master_path, master_valid)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-
-        let wal_replayed = ledger.counters.wal_events_replayed;
-        let orphans: Vec<u64> = ledger.lease_infos().iter().map(|l| l.lease).collect();
-        let cells = plan.cells.len();
-        let state = State {
+        let how = format!(
+            "recovered ({} cells adopted from the master and {} lease journals) and up",
+            ledger.counters.cells_recovered,
+            journals.len(),
+        );
+        let durable = Durable {
             ledger,
-            master: Some(master),
-            wal: Some(wal),
-            sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
-            sessions: HashMap::new(),
-            next_session: 1,
-            lease_journals,
+            master,
             journals,
             worker_of_cell,
-            failure: None,
-            report: None,
         };
-        let shared = Arc::new(Shared {
-            identity,
-            config,
-            master_path,
-            epoch: Instant::now(),
-            state: Mutex::new(state),
-            done: Condvar::new(),
-            stop: AtomicBool::new(false),
-            log: Mutex::new(BufWriter::new(log_file)),
-            ids,
-            plan,
-        });
-
-        // 3. The crashed incarnation's leases are orphans (their
-        //    workers died with it, or will be told Stale): harvest each
-        //    one's journal, then expire it, through the same path a
-        //    live coordinator uses for dead workers.
-        {
-            let mut state = shared.state.lock().expect("state lock poisoned");
-            let state = &mut *state;
-            for lease in &orphans {
-                harvest_and_expire(&shared, state, *lease, "orphaned by coordinator crash");
-            }
-            shared.log(&format!(
-                "recovered from WAL: {} events replayed, {} cells re-adopted from the master \
-                 journal, {} orphaned leases harvested+expired, {}/{} cells already done",
-                wal_replayed,
-                recovered,
-                orphans.len(),
-                state.ledger.completed(),
-                cells,
-            ));
-            maybe_finish(&shared, state);
-        }
-        serve(shared, "recovered and up")
+        serve(plan, config, durable, log_file, &how)
     }
+}
+
+/// The durable starting point of a coordinator: empty for
+/// [`Coordinator::start`], rebuilt from the fleet directory by
+/// [`Coordinator::recover`].
+struct Durable {
+    ledger: LeaseLedger,
+    master: JournalWriter,
+    journals: Vec<PathBuf>,
+    worker_of_cell: Vec<Option<String>>,
 }
 
 fn master_path(config: &FleetConfig) -> PathBuf {
@@ -406,13 +284,62 @@ fn master_path(config: &FleetConfig) -> PathBuf {
         .join(format!("{}.master.jsonl", config.experiment))
 }
 
-fn wal_path(config: &FleetConfig) -> PathBuf {
-    config.dir.join(format!("{}.wal.jsonl", config.experiment))
+/// Every `<experiment>.lease<N>.<worker>.jsonl` in the fleet directory
+/// as `(N, worker, path)`, in lease order.
+fn lease_journals_on_disk(config: &FleetConfig) -> io::Result<Vec<(u64, String, PathBuf)>> {
+    let prefix = format!("{}.lease", config.experiment);
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(&config.dir)? {
+        let path = entry?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let parsed = name
+            .strip_prefix(&prefix)
+            .and_then(|rest| rest.strip_suffix(".jsonl"))
+            .and_then(|rest| rest.split_once('.'))
+            .and_then(|(lease, worker)| Some((lease.parse::<u64>().ok()?, worker.to_string())));
+        if let Some((lease, worker)) = parsed {
+            found.push((lease, worker, path));
+        }
+    }
+    found.sort();
+    Ok(found)
 }
 
-/// Binds the listener and spawns the service thread for a fully-built
-/// `Shared` — the common tail of `start` and `recover`.
-fn serve(shared: Arc<Shared>, how: &str) -> io::Result<CoordinatorHandle> {
+/// Builds the shared state, binds the listener and spawns the service
+/// thread — the common tail of `start` and `recover`.
+fn serve(
+    plan: ExperimentPlan,
+    config: FleetConfig,
+    durable: Durable,
+    log_file: File,
+    how: &str,
+) -> io::Result<CoordinatorHandle> {
+    let state = State {
+        ledger: durable.ledger,
+        master: Some(durable.master),
+        sizer: LeaseSizer::new(TARGET_LEASE_MS, config.lease_cells),
+        sessions: HashMap::new(),
+        next_session: 1,
+        lease_journals: HashMap::new(),
+        journals: durable.journals,
+        worker_of_cell: durable.worker_of_cell,
+        failure: None,
+        report: None,
+    };
+    let shared = Arc::new(Shared {
+        identity: PlanIdentity::of(&config.experiment, &plan),
+        master_path: master_path(&config),
+        config,
+        epoch: Instant::now(),
+        state: Mutex::new(state),
+        done: Condvar::new(),
+        stop: AtomicBool::new(false),
+        log: Mutex::new(BufWriter::new(log_file)),
+        ids: CellId::assign(&plan.cells),
+        plan,
+    });
     let listener = TcpListener::bind(("127.0.0.1", shared.config.port))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -424,7 +351,7 @@ fn serve(shared: Arc<Shared>, how: &str) -> io::Result<CoordinatorHandle> {
         shared.identity.manifest,
         shared.config.scale_name,
         shared.config.lease_cells,
-        shared.config.target_lease_ms,
+        TARGET_LEASE_MS,
         shared.config.timeout_ms,
         if shared.config.token.is_empty() {
             "open"
@@ -530,7 +457,7 @@ fn service_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             }
         }
         maintain(shared);
-        std::thread::sleep(Duration::from_millis(shared.config.poll_ms));
+        std::thread::sleep(Duration::from_millis(POLL_MS));
     }
     for handle in connections {
         let _ = handle.join();
@@ -565,22 +492,8 @@ fn maintain(shared: &Shared) {
     maybe_finish(shared, state);
 }
 
-/// Appends one ledger transition to the WAL; a write failure is the
-/// run's failure (the sweep would no longer be recoverable).
-fn wal_append(shared: &Shared, state: &mut State, event: &WalEvent) {
-    if let Some(wal) = state.wal.as_mut() {
-        if let Err(e) = wal.append(event) {
-            let message = format!("WAL write failed: {e}");
-            shared.log(&message);
-            state.failure.get_or_insert(message);
-        }
-    }
-}
-
-/// Kills one lease the way a live coordinator always does: harvest the
-/// durable prefix of its journal (crediting completed cells), then
-/// expire it (requeueing the rest), WAL-logging both steps. Used for
-/// liveness expiry and for the orphans found by crash recovery.
+/// Kills one silent lease: harvest the durable prefix of its journal
+/// (crediting completed cells), then expire it (requeueing the rest).
 fn harvest_and_expire(shared: &Shared, state: &mut State, lease: u64, reason: &str) {
     let worker = state
         .ledger
@@ -609,7 +522,6 @@ fn harvest_and_expire(shared: &Shared, state: &mut State, lease: u64, reason: &s
         }
     }
     let requeued = state.ledger.expire(lease);
-    wal_append(shared, state, &WalEvent::Expired { lease });
     shared.log(&format!(
         "lease {lease} ({worker}) expired after {reason}: {harvested} cells harvested from its \
          journal, {requeued} requeued",
@@ -645,16 +557,6 @@ fn accept_cell(
                 state.failure.get_or_insert(message);
             }
         }
-        // Master first, then WAL: a WAL completion always has a durable
-        // output behind it (recovery heals the converse window).
-        wal_append(
-            shared,
-            state,
-            &WalEvent::CellDone {
-                lease,
-                cell: id.to_hex(),
-            },
-        );
     }
     verdict
 }
@@ -670,9 +572,7 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     // shows ghost leases (the late Complete is answered Stale, which
     // the worker treats as routine).
     for info in state.ledger.lease_infos() {
-        if state.ledger.complete_lease(info.lease) {
-            wal_append(shared, state, &WalEvent::LeaseDone { lease: info.lease });
-        }
+        state.ledger.complete_lease(info.lease);
     }
     if let Some(master) = state.master.take() {
         if let Err(e) = master.finish() {
@@ -681,9 +581,6 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
                 .get_or_insert(format!("master journal failed: {e}"));
         }
     }
-    // The WAL's job ends with the sweep; close it so the file is whole
-    // for the CI artifact upload.
-    state.wal = None;
     // Compact: the master plus every surviving lease journal. Lease
     // journals hold identical duplicates of master records (and that
     // is asserted — a conflicting duplicate fails the merge).
@@ -711,7 +608,7 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     shared.log(&format!(
         "sweep complete: {} cells | leases granted {} completed {} expired {} | cells granted {} \
          completed {} stolen {} harvested {} stale-rejected {} | sessions resumed {} leases \
-         re-adopted {} | wal replayed {} cells recovered {} | lease sizes {:?} | compacted {} \
+         re-adopted {} | cells recovered {} | lease sizes {:?} | compacted {} \
          journals | leases_reconciled: {reconciled}",
         state.ledger.total(),
         counters.leases_granted,
@@ -724,7 +621,6 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
         counters.stale_reports,
         counters.sessions_resumed,
         counters.leases_readopted,
-        counters.wal_events_replayed,
         counters.cells_recovered,
         state.sizer.trajectory(),
         paths.len(),
@@ -928,18 +824,6 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     if let Some(s) = state.sessions.get_mut(&session) {
                         s.leases.push(lease);
                     }
-                    // Durable before the reply: no lease may exist on
-                    // the wire that the WAL does not know.
-                    wal_append(
-                        shared,
-                        state,
-                        &WalEvent::Granted {
-                            lease,
-                            worker: worker.clone(),
-                            cells: cells.iter().map(|id| id.to_hex()).collect(),
-                            journal: journal.clone(),
-                        },
-                    );
                     shared.log(&format!(
                         "lease {lease} -> {worker} (session {session}): {} cells{} -> {journal}",
                         cells.len(),
@@ -1022,11 +906,9 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 return unauthenticated("Complete");
             }
             let mut state = shared.state.lock().expect("state lock poisoned");
-            let state_ref = &mut *state;
-            if state_ref.ledger.complete_lease(lease) {
-                wal_append(shared, state_ref, &WalEvent::LeaseDone { lease });
+            if state.ledger.complete_lease(lease) {
                 shared.log(&format!("lease {lease} ({worker}) complete"));
-                maybe_finish(shared, state_ref);
+                maybe_finish(shared, &mut state);
                 Reply::Ack
             } else {
                 Reply::Stale { lease }

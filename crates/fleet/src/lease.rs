@@ -251,67 +251,30 @@ impl LeaseLedger {
         }
     }
 
-    /// Re-applies a grant recorded in the coordinator's WAL: the same
-    /// transition [`grant`](Self::grant) made originally, but with the
-    /// lease id and cell set forced to what the log says rather than
-    /// chosen by policy. Pending cells are drawn from the queue;
-    /// still-leased cells are taken from their current holder as a
-    /// steal — exactly the two sources a live grant has — so the churn
-    /// counters reconcile across the replay the same way they did
-    /// across the original run.
-    ///
-    /// # Errors
-    ///
-    /// A WAL that grants a completed or unknown cell is corrupt (the
-    /// live ledger can never do that); the error names the cell.
-    pub fn replay_granted(
-        &mut self,
-        lease: u64,
-        worker: &str,
-        cells: &[CellId],
-        now: u64,
-    ) -> Result<(), String> {
-        if self.active.contains_key(&lease) {
-            return Err(format!("WAL grants lease {lease} twice"));
+    /// Marks a pending cell done without a lease: crash recovery adopts
+    /// every cell the fleet directory's journals already hold. An
+    /// adoption counts as one grant, one completion and one recovery,
+    /// so [`FleetCounters::reconciled`] holds unchanged. Returns `false`,
+    /// changing nothing, for an unknown or non-pending cell.
+    pub fn adopt(&mut self, cell: CellId) -> bool {
+        let Some(&idx) = self.index.get(&cell) else {
+            return false;
+        };
+        if !self.pending.remove(&idx) {
+            return false;
         }
-        for &cell in cells {
-            let Some(&idx) = self.index.get(&cell) else {
-                return Err(format!("WAL grants unknown cell {cell}"));
-            };
-            match self.state[idx] {
-                CellState::Pending => {
-                    self.pending.remove(&idx);
-                }
-                CellState::Leased(victim) => {
-                    let holder = self
-                        .active
-                        .get_mut(&victim)
-                        .ok_or_else(|| format!("cell {cell} leased to unknown lease {victim}"))?;
-                    holder.cells.retain(|c| *c != cell);
-                    self.counters.cells_stolen += 1;
-                }
-                CellState::Done => {
-                    return Err(format!("WAL grants completed cell {cell}"));
-                }
-            }
-            self.state[idx] = CellState::Leased(lease);
-        }
-        self.counters.leases_granted += 1;
-        self.counters.cells_granted += cells.len() as u64;
-        self.active.insert(
-            lease,
-            Lease {
-                id: lease,
-                worker: worker.to_string(),
-                cells: cells.to_vec(),
-                done: 0,
-                last_alive: now,
-                last_progress: now,
-                journal_tail: JournalTail::default(),
-            },
-        );
+        self.state[idx] = CellState::Done;
+        self.counters.cells_granted += 1;
+        self.counters.cells_completed += 1;
+        self.counters.cells_recovered += 1;
+        true
+    }
+
+    /// Makes every later lease id exceed `lease`, so a recovered
+    /// coordinator never reuses a lease id (and with it a journal name)
+    /// from the run it replaces.
+    pub fn skip_leases_through(&mut self, lease: u64) {
         self.next_lease = self.next_lease.max(lease + 1);
-        Ok(())
     }
 
     /// Records protocol-level liveness. Returns `false` for an unknown
@@ -629,40 +592,6 @@ mod tests {
             1_700,
         );
         assert_eq!(ledger.stale_leases(2_000, 1_000), vec![l1]);
-    }
-
-    #[test]
-    fn replay_granted_reproduces_grants_and_steals() {
-        let cells = ids(6);
-        // Original run: one big grant, then a steal of its tail.
-        let mut live = LeaseLedger::new(cells.clone());
-        let (l1, c1, _) = granted(live.grant("w1", 0, 6));
-        let (l2, c2, stolen) = granted(live.grant("w2", 5, 4));
-        assert!(stolen);
-        // Replay the two Granted transitions into a fresh ledger.
-        let mut replayed = LeaseLedger::new(cells.clone());
-        replayed.replay_granted(l1, "w1", &c1, 0).expect("grant 1");
-        replayed.replay_granted(l2, "w2", &c2, 5).expect("grant 2");
-        assert_eq!(replayed.counters.cells_granted, live.counters.cells_granted);
-        assert_eq!(replayed.counters.cells_stolen, live.counters.cells_stolen);
-        assert_eq!(
-            replayed.lease(l1).expect("active").cells,
-            live.lease(l1).expect("active").cells
-        );
-        // New leases continue past the replayed ids.
-        let (l3, _, _) = granted({
-            for &c in &cells[..2] {
-                assert_eq!(replayed.complete_cell(l1, c, 9), CellReport::Accepted);
-            }
-            assert_eq!(replayed.expire(l2), 3);
-            replayed.grant("w3", 10, 8)
-        });
-        assert!(l3 > l2);
-        // A corrupt WAL (granting a done cell) is refused.
-        let err = replayed
-            .replay_granted(99, "w9", &cells[..1], 11)
-            .expect_err("done cell");
-        assert!(err.contains("completed cell"), "{err}");
     }
 
     #[test]

@@ -35,10 +35,11 @@
 //! * sessions — every authenticated worker holds a `SessionId`; a
 //!   worker that loses TCP but kept its shard journal reconnects with
 //!   the same id and its live leases are *re-adopted*, not harvested.
-//! * [`wal`] — the coordinator write-ahead-logs every ledger transition
-//!   next to the master journal; `repro fleet --recover` replays it,
-//!   re-adopts the master journal, harvests orphaned shard journals,
-//!   and finishes the sweep with the ledger still reconciling.
+//! * crash recovery — `repro fleet --recover` rebuilds a crashed
+//!   coordinator from its fleet directory alone: it reopens the master
+//!   journal, harvests every lease journal either run left there,
+//!   adopts those cells as done, and finishes the sweep with the
+//!   ledger still reconciling.
 //! * [`chaos`] — a seeded flaky-TCP proxy (delays, stalls, mid-message
 //!   disconnects) the e2e tests and `repro fleet --chaos` push whole
 //!   sweeps through; the result must still be byte-identical to serial.
@@ -62,7 +63,6 @@ pub mod coordinator;
 pub mod lease;
 pub mod protocol;
 pub mod stats;
-pub mod wal;
 pub mod worker;
 
 pub use chaos::{ChaosProxy, ChaosSpec};
@@ -70,5 +70,4 @@ pub use coordinator::{Coordinator, CoordinatorHandle, FleetConfig, FleetReport};
 pub use lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
 pub use protocol::{MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION};
 pub use stats::{CellProgress, FleetCounters, LeaseInfo, ResultsPage, StatusReport};
-pub use wal::{read_wal, WalEvent, WalWriter};
 pub use worker::{query_results, query_status, run_worker, run_worker_with, WorkerConfig};

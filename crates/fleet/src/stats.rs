@@ -37,11 +37,8 @@ pub struct FleetCounters {
     /// Live leases re-adopted (refreshed instead of expired) across
     /// those reconnects.
     pub leases_readopted: u64,
-    /// Ledger transitions replayed from the WAL by `--recover` (zero on
-    /// a run that never crashed).
-    pub wal_events_replayed: u64,
-    /// Completed cells re-adopted from the master journal during
-    /// recovery.
+    /// Completed cells adopted from the fleet directory's journals by
+    /// `--recover` (zero on a run that never crashed).
     pub cells_recovered: u64,
 }
 

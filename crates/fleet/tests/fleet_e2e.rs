@@ -2,9 +2,10 @@
 //! plus in-process workers must produce a table byte-identical to a
 //! serial run — including when a worker dies mid-lease and its journal
 //! is harvested, when every connection runs through a flaky chaos
-//! proxy, and when the coordinator itself crashes and is recovered
-//! from its write-ahead log — with a lease ledger that reconciles
-//! exactly and a control plane that refuses hostile clients.
+//! proxy, and when the coordinator itself crashes (once or twice) and
+//! is recovered from the journals in its fleet directory — with a
+//! lease ledger that reconciles exactly and a control plane that
+//! refuses hostile clients.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -170,7 +171,6 @@ fn fleet_matches_serial_and_serves_results() {
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 2;
-    config.poll_ms = 20;
     config.timeout_ms = 60_000;
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
@@ -215,6 +215,10 @@ fn fleet_matches_serial_and_serves_results() {
     // report folds away as a duplicate), so the tally is a floor.
     assert!(worker_cells >= 6, "every cell was streamed by some worker");
     coordinator.shutdown();
+    assert!(
+        only_journals_and_log(&dir),
+        "a fleet run writes only journals"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -233,7 +237,6 @@ fn killed_worker_is_harvested_and_reassigned() {
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 3;
-    config.poll_ms = 50;
     config.timeout_ms = 1_500;
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
@@ -343,7 +346,6 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 3;
-    config.poll_ms = 20;
     // Expiry must not be what saves this test: the lease has to
     // survive because the session was re-adopted, not because it timed
     // out and was harvested.
@@ -512,7 +514,6 @@ fn chaos_proxied_fleet_still_matches_serial() {
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 2;
-    config.poll_ms = 20;
     config.timeout_ms = 4_000;
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let spec = ChaosSpec {
@@ -557,21 +558,32 @@ fn chaos_proxied_fleet_still_matches_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Whether `dir` holds nothing but the coordinator log, the master
+/// journal and lease journals — recovery needs no other file.
+fn only_journals_and_log(dir: &std::path::Path) -> bool {
+    std::fs::read_dir(dir)
+        .expect("read fleet dir")
+        .filter_map(Result::ok)
+        .all(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name == "coordinator.log" || name == "e2e.master.jsonl" || name.starts_with("e2e.lease")
+        })
+}
+
 /// Coordinator crash recovery: kill the coordinator mid-sweep, then
-/// `recover` from the WAL + journals in the same directory. The
-/// recovered fleet finishes the plan byte-identical to serial without
-/// re-running already-journaled cells, and the ledger still reconciles.
+/// `recover` from the journals in the same directory. The recovered
+/// fleet finishes the plan byte-identical to serial without re-running
+/// already-journaled cells, and the ledger still reconciles.
 #[test]
-fn crashed_coordinator_recovers_from_wal() {
+fn crashed_coordinator_recovers_from_journals() {
     let dir = fresh_dir("recover");
     let plan = tiny_plan();
     let serial = SweepRunner::serial().run(&plan).to_csv();
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 2;
-    config.poll_ms = 20;
     config.timeout_ms = 60_000;
-    let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
+    let coordinator = Coordinator::start(tiny_plan(), config.clone()).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
 
     // Workers with a short reconnect budget, so they give up quickly
@@ -602,13 +614,13 @@ fn crashed_coordinator_recovers_from_wal() {
             .expect("join")
             .expect("survivors exit cleanly");
     }
+    assert!(
+        only_journals_and_log(&dir),
+        "a crashed run leaves only journals"
+    );
 
-    // Recover from the WAL in the same directory and finish the sweep.
-    let mut config = FleetConfig::new("e2e", "tiny", &dir);
-    config.lease_cells = 2;
-    config.poll_ms = 20;
-    config.timeout_ms = 60_000;
-    let recovered = Coordinator::recover(tiny_plan(), config).expect("recovery from WAL");
+    // Recover from the journals in the same directory and finish.
+    let recovered = Coordinator::recover(tiny_plan(), config).expect("recovery from journals");
     let addr = recovered.addr().to_string();
     let workers: Vec<_> = (1..=2)
         .map(|i| spawn_worker(&format!("w{i}"), &addr, &dir))
@@ -621,14 +633,143 @@ fn crashed_coordinator_recovers_from_wal() {
     assert!(report.reconciled, "ledger: {:?}", report.counters);
     assert_eq!(report.cells, 6);
     assert!(
-        report.counters.wal_events_replayed >= 1,
-        "recovery must have replayed the WAL: {:?}",
+        report.counters.cells_recovered >= 1,
+        "recovery must adopt the journaled cells: {:?}",
         report.counters
     );
     for worker in workers {
         worker.join().expect("join").expect("worker ok");
     }
     recovered.shutdown();
+    assert!(
+        only_journals_and_log(&dir),
+        "a recovered run leaves only journals"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hand-rolled worker takes one lease, journals its first cell as a
+/// real worker would, optionally reports it, and dies. Returns the
+/// lease id.
+fn lease_and_journal_one(addr: &str, dir: &std::path::Path, name: &str, report: bool) -> u64 {
+    let plan = tiny_plan();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
+    client_handshake(&mut stream, &mut reader, name, "", None);
+    send(
+        &mut stream,
+        &Request::Lease {
+            worker: name.into(),
+        },
+    )
+    .expect("lease request");
+    let Reply::Grant {
+        lease,
+        cells,
+        journal,
+    } = recv_reply(&mut reader)
+    else {
+        panic!("expected Grant");
+    };
+    let first = CellId::from_hex(&cells[0]).expect("granted id");
+    let journal_path = dir.join(&journal);
+    SweepSession::new(&plan)
+        .shard(ShardSpec::cells(vec![first]))
+        .checkpoint(&journal_path)
+        .run(&mut [])
+        .expect("journal one cell");
+    if report {
+        let (id, index, output) = harvest_journal(&plan, &journal_path)
+            .expect("read own journal")
+            .remove(0);
+        send(
+            &mut stream,
+            &Request::CellDone {
+                worker: name.into(),
+                lease,
+                cell: id.to_hex(),
+                index,
+                output: Box::new(output),
+            },
+        )
+        .expect("report");
+        assert!(matches!(recv_reply(&mut reader), Reply::Ack));
+    }
+    lease
+}
+
+/// Two crashes in a row: a journaled-but-unreported cell survives the
+/// first, a reported one the second, the recovered runs never reuse a
+/// lease id from an earlier run, and the final table is still
+/// byte-identical to serial.
+#[test]
+fn coordinator_recovers_twice_in_a_row() {
+    let dir = fresh_dir("recover-twice");
+    let serial = SweepRunner::serial().run(&tiny_plan()).to_csv();
+    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+    config.lease_cells = 2;
+    config.timeout_ms = 60_000;
+
+    let first = Coordinator::start(tiny_plan(), config.clone()).expect("coordinator starts");
+    let lease1 = lease_and_journal_one(&first.addr().to_string(), &dir, "r1", false);
+    first.shutdown();
+
+    let second = Coordinator::recover(tiny_plan(), config.clone()).expect("first recovery");
+    let status = query_status(&second.addr().to_string()).expect("status");
+    assert_eq!(status.counters.cells_recovered, 1, "{:?}", status.counters);
+    let lease2 = lease_and_journal_one(&second.addr().to_string(), &dir, "r2", true);
+    assert!(
+        lease2 > lease1,
+        "lease {lease2} reuses an id from the crashed run"
+    );
+    second.shutdown();
+
+    let third = Coordinator::recover(tiny_plan(), config).expect("second recovery");
+    let addr = third.addr().to_string();
+    let workers: Vec<_> = (1..=2)
+        .map(|i| spawn_worker(&format!("w{i}"), &addr, &dir))
+        .collect();
+    let report = third
+        .wait(Duration::from_secs(120))
+        .expect("twice-recovered fleet completes");
+    assert_eq!(report.csv, serial, "fleet table must be byte-identical");
+    assert!(report.reconciled, "ledger: {:?}", report.counters);
+    assert_eq!(report.counters.cells_recovered, 2, "{:?}", report.counters);
+    for worker in workers {
+        worker.join().expect("join").expect("worker ok");
+    }
+    third.shutdown();
+    assert!(only_journals_and_log(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A lease journal written for a different plan (here: another seed)
+/// in the fleet directory makes recovery fail, naming the file.
+#[test]
+fn recovery_refuses_a_lease_journal_from_another_plan() {
+    let dir = fresh_dir("recover-alien");
+    let config = FleetConfig::new("e2e", "tiny", &dir);
+    Coordinator::start(tiny_plan(), config.clone())
+        .expect("coordinator starts")
+        .shutdown();
+    let mut alien = tiny_plan();
+    alien.seed ^= 0xdead;
+    let alien_path = dir.join("e2e.lease7.alien.jsonl");
+    SweepSession::new(&alien)
+        .checkpoint(&alien_path)
+        .run(&mut [])
+        .expect("alien journal");
+
+    let Err(err) = Coordinator::recover(tiny_plan(), config) else {
+        panic!("recovery must refuse a journal from another plan");
+    };
+    assert!(
+        err.to_string().contains("e2e.lease7.alien.jsonl"),
+        "error must name the file: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -643,7 +784,6 @@ fn hostile_clients_are_refused_and_the_fleet_survives() {
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 2;
-    config.poll_ms = 20;
     config.timeout_ms = 60_000;
     config.token = "sesame".into();
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
@@ -793,8 +933,7 @@ fn hostile_clients_are_refused_and_the_fleet_survives() {
 #[test]
 fn mismatched_plan_identity_is_refused() {
     let dir = fresh_dir("mismatch");
-    let mut config = FleetConfig::new("e2e", "tiny", &dir);
-    config.poll_ms = 20;
+    let config = FleetConfig::new("e2e", "tiny", &dir);
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
 

@@ -2,33 +2,15 @@
 //! interleavings of grants, completions, stale reports, heartbeats,
 //! and expiries, the ledger never double-completes a cell, never loses
 //! one, and always terminates with every cell completed exactly once
-//! and the churn counters reconciled — including when the ledger is
-//! rebuilt by replaying a WAL-shaped transition stream cut at an
-//! arbitrary crash point, with reconnecting workers re-adopting their
-//! replayed leases.
+//! and the churn counters reconciled — including when a crashed
+//! coordinator's successor starts a fresh ledger that adopts whatever
+//! the journals hold and drains the rest.
 
 use std::collections::HashSet;
 
 use dsp_bench::engine::CellId;
 use dsp_fleet::{CellReport, GrantOutcome, LeaseLedger};
 use proptest::prelude::*;
-
-/// The ledger transitions the coordinator write-ahead-logs, in the
-/// shape recovery replays them.
-#[derive(Clone, Debug)]
-enum Ev {
-    Granted {
-        lease: u64,
-        worker: String,
-        cells: Vec<CellId>,
-    },
-    CellDone {
-        lease: u64,
-        cell: CellId,
-    },
-    LeaseDone(u64),
-    Expired(u64),
-}
 
 fn ids(n: usize) -> Vec<CellId> {
     (0..n)
@@ -159,55 +141,49 @@ proptest! {
     }
 
     /// Coordinator crash recovery, as a property: a random schedule
-    /// runs against a live ledger while every transition is recorded
-    /// as a WAL event; the "coordinator" then crashes at an arbitrary
-    /// prefix of that stream, and a fresh ledger is rebuilt by
-    /// replaying the prefix (exactly as `Coordinator::recover` does).
-    /// Reconnecting workers re-adopt a random subset of the replayed
-    /// leases and finish them; the rest are drained through
-    /// steal/expiry. The replayed ledger must accept every replayed
-    /// transition, never double-accept a cell, and always end complete
-    /// and reconciled.
+    /// runs against a live ledger until the coordinator crashes at an
+    /// arbitrary point. The journals then hold every completed cell
+    /// plus a random subset of the cells that were leased but never
+    /// reported (a worker journals before it reports). A fresh ledger
+    /// adopts them in journal order — master first, then lease
+    /// journals, which repeat reported cells — and drains the rest.
+    /// Only the first sighting of a cell may adopt it, a leased cell
+    /// can never be adopted, and every cell ends adopted or completed
+    /// exactly once with the counters reconciled.
     #[test]
-    fn wal_replay_at_any_crash_point_reconciles(
+    fn recovery_from_journals_at_any_crash_point_reconciles(
         total in 1usize..20,
-        ops in proptest::collection::vec((0usize..5, 0usize..8, 1usize..5), 0usize..90),
-        cut in 0.0f64..1.0,
-        resume_leases in proptest::collection::vec(any::<bool>(), 8),
+        ops in proptest::collection::vec((0usize..4, 0usize..8, 1usize..5), 0usize..90),
+        crash in 0usize..90,
+        journaled in proptest::collection::vec(any::<bool>(), 20),
     ) {
         let cells = ids(total);
         let mut ledger = LeaseLedger::new(cells.clone());
-        let mut events: Vec<Ev> = Vec::new();
+        let mut reported: Vec<CellId> = Vec::new();
+        let mut ever_leased: Vec<CellId> = Vec::new();
         let mut now: u64 = 0;
-        for (op, pick, size) in ops {
+        for &(op, pick, size) in ops.iter().take(crash) {
             now += 7;
             match op {
                 0 => {
-                    if let GrantOutcome::Granted { lease, cells, .. } =
+                    if let GrantOutcome::Granted { cells, .. } =
                         ledger.grant(&format!("w{pick}"), now, size)
                     {
-                        events.push(Ev::Granted {
-                            lease,
-                            worker: format!("w{pick}"),
-                            cells,
-                        });
+                        ever_leased.extend(cells);
                     }
                 }
                 1 => {
                     let leases = ledger.lease_infos();
                     if !leases.is_empty() {
                         let lease = leases[pick % leases.len()].lease;
-                        let next = ledger.lease(lease).and_then(|l| l.cells.first().copied());
-                        match next {
+                        match ledger.lease(lease).and_then(|l| l.cells.first().copied()) {
                             Some(cell) => {
                                 let verdict = ledger.complete_cell(lease, cell, now);
                                 prop_assert_eq!(verdict, CellReport::Accepted);
-                                events.push(Ev::CellDone { lease, cell });
+                                reported.push(cell);
                             }
                             None => {
-                                if ledger.complete_lease(lease) {
-                                    events.push(Ev::LeaseDone(lease));
-                                }
+                                let _ = ledger.complete_lease(lease);
                             }
                         }
                     }
@@ -215,111 +191,69 @@ proptest! {
                 2 => {
                     let _ = ledger.heartbeat(pick as u64, now);
                 }
-                3 => {
+                _ => {
                     let leases = ledger.lease_infos();
                     if !leases.is_empty() {
-                        let lease = leases[pick % leases.len()].lease;
-                        ledger.expire(lease);
-                        events.push(Ev::Expired(lease));
-                    }
-                }
-                _ => {
-                    // A stray duplicate report; not a ledger transition,
-                    // so nothing is logged.
-                    if let Some(&cell) = cells.first() {
-                        let _ = ledger.complete_cell(pick as u64 + 1_000, cell, now);
+                        ledger.expire(leases[pick % leases.len()].lease);
                     }
                 }
             }
         }
 
-        // Crash: only a prefix of the WAL survives. (The real WAL is
-        // flushed per event, so any cut point is a torn-tail cut.)
-        let keep = ((events.len() as f64) * cut) as usize;
-        let prefix = &events[..keep.min(events.len())];
-
-        // Recovery: replay the prefix into a fresh ledger.
-        let mut replayed = LeaseLedger::new(cells.clone());
-        let mut accepted: HashSet<CellId> = HashSet::new();
-        let mut now: u64 = 0;
-        for event in prefix {
-            now += 3;
-            match event {
-                Ev::Granted { lease, worker, cells } => {
-                    prop_assert!(
-                        replayed.replay_granted(*lease, worker, cells, now).is_ok(),
-                        "replaying a logged grant must succeed"
-                    );
-                }
-                Ev::CellDone { lease, cell } => {
-                    let verdict = replayed.complete_cell(*lease, *cell, now);
-                    prop_assert_eq!(verdict, CellReport::Accepted);
-                    prop_assert!(accepted.insert(*cell), "cell accepted twice in replay");
-                }
-                Ev::LeaseDone(lease) => {
-                    prop_assert!(replayed.complete_lease(*lease));
-                }
-                Ev::Expired(lease) => {
-                    replayed.expire(*lease);
-                }
-            }
-            prop_assert_eq!(
-                replayed.pending() + replayed.outstanding() + replayed.completed(),
-                total
-            );
-            prop_assert_eq!(replayed.completed(), accepted.len());
+        // Crash. The successor reads the master journal, then every
+        // lease journal.
+        let on_disk: Vec<CellId> = ever_leased
+            .iter()
+            .copied()
+            .filter(|c| {
+                let index = cells.iter().position(|x| x == c).expect("plan cell");
+                reported.contains(c) || journaled[index]
+            })
+            .collect();
+        let mut recovered = LeaseLedger::new(cells.clone());
+        recovered.skip_leases_through(ledger.counters.leases_granted);
+        let mut adopted: HashSet<CellId> = HashSet::new();
+        for &cell in reported.iter().chain(&on_disk) {
+            let first = !adopted.contains(&cell);
+            prop_assert_eq!(recovered.adopt(cell), first, "only a first sighting adopts");
+            adopted.insert(cell);
         }
+        prop_assert!(!recovered.adopt(CellId::from_hex("00000000deadbeef").expect("hex")));
+        prop_assert_eq!(recovered.counters.cells_recovered as usize, adopted.len());
 
-        // Reconnecting workers re-adopt a random subset of the replayed
-        // leases and finish them exactly as a resumed session would.
-        for (i, info) in replayed.lease_infos().into_iter().enumerate() {
-            if !resume_leases[i % resume_leases.len()] {
-                continue;
-            }
-            now += 5;
-            prop_assert!(replayed.heartbeat(info.lease, now), "re-adopted lease is live");
-            let outstanding = replayed
-                .lease(info.lease)
-                .map(|l| l.cells.clone())
-                .unwrap_or_default();
-            for cell in outstanding {
-                let verdict = replayed.complete_cell(info.lease, cell, now);
-                prop_assert_eq!(verdict, CellReport::Accepted);
-                prop_assert!(accepted.insert(cell), "cell accepted twice after re-adopt");
-            }
-            prop_assert!(replayed.complete_lease(info.lease));
-        }
-
-        // Drain the rest: fresh grants, with expiry recovering any
-        // lease whose worker never came back.
+        // Drain the rest through the live grant/steal/expire path.
+        let mut completed: HashSet<CellId> = HashSet::new();
         let mut guard = 0;
         loop {
             guard += 1;
             prop_assert!(guard < 10_000, "recovery drain did not terminate");
             now += 11;
-            match replayed.grant("drain", now, 3) {
+            match recovered.grant("drain", now, 3) {
                 GrantOutcome::Finished => break,
                 GrantOutcome::Wait => {
-                    let leases = replayed.lease_infos();
+                    let leases = recovered.lease_infos();
                     prop_assert!(!leases.is_empty(), "Wait with no active leases");
-                    replayed.expire(leases[0].lease);
+                    recovered.expire(leases[0].lease);
                 }
                 GrantOutcome::Granted { lease, cells: granted, .. } => {
+                    prop_assert!(lease > ledger.counters.leases_granted, "lease id reused");
+                    prop_assert!(!recovered.adopt(granted[0]), "a leased cell was adopted");
                     for cell in granted {
-                        let verdict = replayed.complete_cell(lease, cell, now);
+                        let verdict = recovered.complete_cell(lease, cell, now);
                         prop_assert_eq!(verdict, CellReport::Accepted);
-                        prop_assert!(accepted.insert(cell), "cell accepted twice in drain");
+                        prop_assert!(!adopted.contains(&cell), "adopted cell re-run");
+                        prop_assert!(completed.insert(cell), "cell accepted twice in drain");
                     }
-                    prop_assert!(replayed.complete_lease(lease));
+                    prop_assert!(recovered.complete_lease(lease));
                 }
             }
         }
-        prop_assert!(replayed.is_complete());
-        prop_assert_eq!(accepted.len(), total);
+        prop_assert!(recovered.is_complete());
+        prop_assert_eq!(adopted.len() + completed.len(), total);
         prop_assert!(
-            replayed.counters.reconciled(total as u64),
-            "unreconciled counters after replay: {:?}",
-            replayed.counters
+            recovered.counters.reconciled(total as u64),
+            "unreconciled counters after recovery: {:?}",
+            recovered.counters
         );
     }
 }
