@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use dsp_coherence::CoherenceTracker;
+use dsp_sim::SetWidth;
 use dsp_trace::{TraceRecord, WorkloadSpec};
 use dsp_types::{DestSet, ReqType, SystemConfig};
 
@@ -72,7 +73,7 @@ impl LocalityCdf {
 
 /// Everything the paper reports about a workload's sharing behavior
 /// (Table 2 and Figures 2–4), measured over one generated trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CharacterizationReport {
     /// Workload name.
     pub workload: String,
@@ -145,6 +146,10 @@ pub fn characterize(
 /// being measured. [`characterize`] is this function over a freshly
 /// seeded generator; sweep harnesses use this entry point directly so
 /// one shared trace can feed many evaluators without regeneration.
+///
+/// The destination-set width follows the node count by the
+/// [`SetWidth::Auto`] rule (one word up to 64 nodes, four beyond); the
+/// report is identical at either width.
 pub fn characterize_trace<I>(
     trace: I,
     workload: &str,
@@ -155,9 +160,26 @@ pub fn characterize_trace<I>(
 where
     I: IntoIterator<Item = TraceRecord>,
 {
+    match SetWidth::Auto.words(config.num_nodes()) {
+        1 => characterize_width::<1, _>(trace, workload, misses_per_kilo_instr, config, warmup),
+        _ => characterize_width::<4, _>(trace, workload, misses_per_kilo_instr, config, warmup),
+    }
+}
+
+/// [`characterize_trace`] at destination-set width `W`.
+fn characterize_width<const W: usize, I>(
+    trace: I,
+    workload: &str,
+    misses_per_kilo_instr: f64,
+    config: &SystemConfig,
+    warmup: usize,
+) -> CharacterizationReport
+where
+    I: IntoIterator<Item = TraceRecord>,
+{
     let n = config.num_nodes();
-    let mut tracker: CoherenceTracker = CoherenceTracker::new(config);
-    let mut blocks: HashMap<u64, (DestSet, u64)> = HashMap::new(); // accessors, misses
+    let mut tracker = CoherenceTracker::<W>::new(config);
+    let mut blocks: HashMap<u64, (DestSet<W>, u64)> = HashMap::new(); // accessors, misses
     let mut macroblocks: HashMap<u64, u64> = HashMap::new(); // c2c per macroblock
     let mut block_c2c: HashMap<u64, u64> = HashMap::new();
     let mut pc_c2c: HashMap<u64, u64> = HashMap::new();
@@ -340,6 +362,26 @@ mod tests {
         assert!(long.blocks_touched > short.blocks_touched);
         assert!(long.macroblocks_touched >= short.macroblocks_touched);
         assert_eq!(short.footprint_bytes(), short.blocks_touched * 64);
+    }
+
+    /// `characterize_trace` picks one word up to 64 nodes; the
+    /// four-word instantiation must report identically there, since only
+    /// 128- and 256-node machines reach it through dispatch.
+    #[test]
+    fn narrow_and_wide_paths_agree() {
+        for nodes in [16, 64] {
+            let config = SystemConfig::builder().num_nodes(nodes).build().unwrap();
+            for w in [Workload::Oltp, Workload::Ocean] {
+                let spec = WorkloadSpec::preset(w, &config).scaled(1.0 / 128.0);
+                let t: Vec<TraceRecord> = spec.generator(5).take(6_000).collect();
+                let narrow =
+                    characterize_width::<1, _>(t.iter().copied(), spec.name(), 1.0, &config, 1_000);
+                let wide =
+                    characterize_width::<4, _>(t.iter().copied(), spec.name(), 1.0, &config, 1_000);
+                assert_eq!(narrow, wide, "{nodes} nodes, {w:?}");
+                assert_eq!(narrow.misses, 5_000);
+            }
+        }
     }
 
     #[test]

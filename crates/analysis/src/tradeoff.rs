@@ -9,11 +9,17 @@
 //! observes an external request **only if that node was in the
 //! request's delivered destination set** (initial multicast or reissue),
 //! and the requester trains from the data response's sender identity.
+//!
+//! Both entry points pick the [`dsp_types::DestSet`] word width from the
+//! node count by the [`SetWidth::Auto`] rule, as [`dsp_sim::simulate`]
+//! does: one word up to 64 nodes, four beyond. Points are identical at
+//! either width.
 
 use serde::{Deserialize, Serialize};
 
 use dsp_coherence::{multicast, CoherenceTracker};
 use dsp_core::{DestSetPredictor, PredictQuery, PredictorConfig, TrainEvent};
+use dsp_sim::SetWidth;
 use dsp_trace::TraceRecord;
 use dsp_types::SystemConfig;
 
@@ -104,10 +110,22 @@ impl TradeoffEvaluator {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
+        match SetWidth::Auto.words(self.config.num_nodes()) {
+            1 => self.run_width::<1, _>(trace, predictor),
+            _ => self.run_width::<4, _>(trace, predictor),
+        }
+    }
+
+    /// [`TradeoffEvaluator::run`] at destination-set width `W`.
+    fn run_width<const W: usize, I>(&self, trace: I, predictor: &PredictorConfig) -> TradeoffPoint
+    where
+        I: IntoIterator<Item = TraceRecord>,
+    {
         let n = self.config.num_nodes();
-        let mut predictors: Vec<Box<dyn DestSetPredictor>> =
-            (0..n).map(|_| predictor.build(&self.config)).collect();
-        let mut tracker: CoherenceTracker = CoherenceTracker::new(&self.config);
+        let mut predictors: Vec<Box<dyn DestSetPredictor<W>>> = (0..n)
+            .map(|_| predictor.build_width::<W>(&self.config))
+            .collect();
+        let mut tracker = CoherenceTracker::<W>::new(&self.config);
         let mut point = TradeoffPoint {
             label: predictor.label(),
             misses: 0,
@@ -118,7 +136,7 @@ impl TradeoffEvaluator {
             predictor_storage_bits: 0,
         };
         for (i, rec) in trace.into_iter().enumerate() {
-            let info = tracker.classify(rec.requester, rec.request(), rec.block());
+            let info = tracker.access(rec.requester, rec.request(), rec.block());
             let query = PredictQuery {
                 block: rec.block(),
                 pc: rec.pc,
@@ -165,7 +183,6 @@ impl TradeoffEvaluator {
                 req: rec.request(),
                 minimal_sufficient: info.is_sufficient(info.minimal_set()),
             });
-            let _ = tracker.access(rec.requester, rec.request(), rec.block());
         }
         point.predictor_storage_bits = predictors.iter().map(|p| p.storage_bits()).sum();
         point
@@ -177,8 +194,19 @@ impl TradeoffEvaluator {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
+        match SetWidth::Auto.words(self.config.num_nodes()) {
+            1 => self.run_baselines_width::<1, _>(trace),
+            _ => self.run_baselines_width::<4, _>(trace),
+        }
+    }
+
+    /// [`TradeoffEvaluator::run_baselines`] at destination-set width `W`.
+    fn run_baselines_width<const W: usize, I>(&self, trace: I) -> (TradeoffPoint, TradeoffPoint)
+    where
+        I: IntoIterator<Item = TraceRecord>,
+    {
         let n = self.config.num_nodes();
-        let mut tracker: CoherenceTracker = CoherenceTracker::new(&self.config);
+        let mut tracker = CoherenceTracker::<W>::new(&self.config);
         let mut snoop = TradeoffPoint {
             label: "Broadcast Snooping".to_string(),
             misses: 0,
@@ -338,6 +366,65 @@ mod tests {
         );
         // 16 nodes × 8192 entries × (37 payload + tag) bits.
         assert!(p.predictor_storage_bits > 16 * 8192 * 37);
+    }
+
+    /// Every policy the sweeps build, at a finite capacity small enough
+    /// to evict and at unbounded capacity (Sticky-Spatial is untagged,
+    /// so finite only).
+    fn every_policy() -> Vec<PredictorConfig> {
+        let small = Capacity::Finite {
+            entries: 256,
+            ways: 4,
+        };
+        let mut configs = Vec::new();
+        for base in [
+            PredictorConfig::owner(),
+            PredictorConfig::broadcast_if_shared(),
+            PredictorConfig::group(),
+            PredictorConfig::owner_group(),
+            PredictorConfig::two_level_owner(),
+            PredictorConfig::always_broadcast(),
+            PredictorConfig::always_minimal(),
+            PredictorConfig::random(7),
+        ] {
+            configs.push(base.entries(small));
+            configs.push(base.entries(Capacity::Unbounded));
+        }
+        configs.push(PredictorConfig::group().indexing(Indexing::Macroblock { bytes: 1024 }));
+        configs.push(
+            PredictorConfig::sticky_spatial(4).entries(Capacity::Finite {
+                entries: 256,
+                ways: 1,
+            }),
+        );
+        configs
+    }
+
+    /// `run` and `run_baselines` pick one word up to 64 nodes; the
+    /// four-word instantiation must give identical points there, since
+    /// only the 128- and 256-node cells reach it through dispatch.
+    #[test]
+    fn narrow_and_wide_paths_agree() {
+        for nodes in [16, 64] {
+            let config = SystemConfig::builder().num_nodes(nodes).build().unwrap();
+            let eval = TradeoffEvaluator::new(&config).warmup(500);
+            for w in [Workload::Oltp, Workload::Ocean] {
+                let t: Vec<TraceRecord> = WorkloadSpec::preset(w, &config)
+                    .scaled(1.0 / 128.0)
+                    .generator(5)
+                    .take(3_000)
+                    .collect();
+                let narrow = eval.run_baselines_width::<1, _>(t.iter().copied());
+                let wide = eval.run_baselines_width::<4, _>(t.iter().copied());
+                assert_eq!(narrow, wide, "{nodes} nodes, {w:?}: baselines");
+                assert_eq!(narrow.0.misses, 2_500);
+                for predictor in every_policy() {
+                    let narrow = eval.run_width::<1, _>(t.iter().copied(), &predictor);
+                    let wide = eval.run_width::<4, _>(t.iter().copied(), &predictor);
+                    assert_eq!(narrow, wide, "{nodes} nodes, {w:?}: {}", predictor.label());
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,7 +100,11 @@ fn check(name: &str, golden: &str) {
         // explicit wide (`DestSet<4>`) monomorphization must both
         // render byte-identical tables. (The defaults — batched
         // dispatch, auto width, i.e. `DestSet<1>` at these 16-node
-        // configs — are what run 1 above already pinned.)
+        // configs — are what run 1 above already pinned.) The wide plan
+        // forces only the timing simulations; the trace-driven cells
+        // always pick their width from the node count, and their
+        // `DestSet<4>` path is pinned by the `narrow_and_wide_paths_agree`
+        // unit tests in `crates/analysis/src/{tradeoff,characterize}.rs`.
         let per_event_plan = experiments::plan_for(name, &scale)
             .expect("known experiment")
             .dispatch(DispatchMode::PerEvent);

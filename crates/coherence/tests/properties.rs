@@ -184,6 +184,21 @@ proptest! {
         }
     }
 
+    /// `access` returns exactly the `MissInfo` that `classify` reported
+    /// on the same pre-state, at both set widths, over interleaved
+    /// access/evict streams on a 64-node machine. The trace-driven
+    /// evaluator relies on this to probe the tracker once per miss.
+    #[test]
+    fn access_returns_what_classify_reported(
+        ops in proptest::collection::vec(
+            (0usize..64, 0u64..48, any::<bool>(), any::<bool>()),
+            1..400,
+        ),
+    ) {
+        access_matches_classify::<1>(&ops);
+        access_matches_classify::<4>(&ops);
+    }
+
     /// The raw block-state table agrees with `std::collections::HashMap`
     /// under adversarial keys (0, `u64::MAX`, stride patterns that
     /// collide after masking) across mixed reads, combined
@@ -248,5 +263,22 @@ proptest! {
         let s = t.state(BlockAddr::new(block));
         prop_assert!(!s.holders().contains(NodeId::new(node)));
         prop_assert_eq!(t.evict(NodeId::new(node), BlockAddr::new(block)), dsp_coherence::Eviction::None);
+    }
+}
+
+/// Replays `(node, block, exclusive, evict)` ops on a 64-node
+/// `CoherenceTracker<W>`, asserting that each access returns the
+/// classification taken just before it.
+fn access_matches_classify<const W: usize>(ops: &[(usize, u64, bool, bool)]) {
+    let config = SystemConfig::builder().num_nodes(64).build().unwrap();
+    let mut t = CoherenceTracker::<W>::new(&config);
+    for &(node, block, exclusive, evict) in ops {
+        let (node, block) = (NodeId::new(node), BlockAddr::new(block));
+        if evict {
+            t.evict(node, block);
+        } else {
+            let classified = t.classify(node, req(exclusive), block);
+            assert_eq!(t.access(node, req(exclusive), block), classified);
+        }
     }
 }

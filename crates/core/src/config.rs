@@ -163,7 +163,9 @@ impl PredictorConfig {
         self.capacity
     }
 
-    /// Builds one predictor instance (one per node in a full system).
+    /// Builds one predictor instance (one per node in a full system) at
+    /// the four-word destination-set width, which covers every node
+    /// count up to 256.
     ///
     /// # Panics
     ///
@@ -178,8 +180,9 @@ impl PredictorConfig {
     /// word width `W` (the width-generic form of
     /// [`PredictorConfig::build`]; `build` is `build_width::<4>`).
     ///
-    /// The timing simulator monomorphizes its hot path per width and
-    /// calls this with `W = 1` for ≤ 64-node systems.
+    /// The timing simulator and the trace-driven evaluators
+    /// (`dsp_analysis`) monomorphize their hot paths per width and call
+    /// this with `W = 1` for ≤ 64-node systems, `W = 4` beyond.
     ///
     /// # Panics
     ///

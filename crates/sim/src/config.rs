@@ -187,7 +187,8 @@ pub enum DispatchMode {
     PerEvent,
 }
 
-/// Compile-time destination-set width selection for a run.
+/// Compile-time destination-set width selection for a timing
+/// simulation.
 ///
 /// The simulator is monomorphized over the [`dsp_types::DestSet`]
 /// word count `W`: machines of at most 64 nodes fit every set in one
@@ -195,6 +196,11 @@ pub enum DispatchMode {
 /// upper-words-zero checks from the tracker, crossbar, and predictor
 /// hot paths. Width is *observationally invisible* — the golden suite
 /// pins every table byte-identical under both widths.
+///
+/// The [`SetWidth::Auto`] rule in [`SetWidth::words`] is also how the
+/// trace-driven evaluators in `dsp_analysis` pick their width from the
+/// node count; the `Narrow`/`Wide` overrides reach timing simulations
+/// only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SetWidth {
     /// Pick from the node count: ≤ 64 nodes runs `DestSet<1>`, larger
