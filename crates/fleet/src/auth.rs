@@ -1,4 +1,4 @@
-//! Shared-token session authentication for the fleet control plane.
+//! Shared-token connection authentication for the fleet control plane.
 //!
 //! The coordinator no longer trusts its network: every mutating
 //! connection must prove knowledge of the fleet token before it can

@@ -891,7 +891,8 @@ fn run_fleet(args: &Args) -> Result<(), String> {
     let c = &report.counters;
     println!(
         "[fleet: {} cells in {:.1}s | leases: {} granted, {} completed, {} expired | \
-         cells: {} granted, {} completed, {} stolen, {} harvested, {} stale reports{}]",
+         cells: {} granted, {} completed, {} stolen, {} harvested, {} recovered, {} stale \
+         reports{}]",
         report.cells,
         report.wall_s,
         c.leases_granted,
@@ -901,21 +902,12 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         c.cells_completed,
         c.cells_stolen,
         c.cells_harvested,
+        c.cells_recovered,
         c.stale_reports,
         match &killed {
             Some(worker) => format!(" | killed {worker} mid-lease"),
             None => String::new(),
         },
-    );
-    println!(
-        "[fleet: {} sessions resumed, {} leases re-adopted, {} cells recovered | \
-         lease size min {} max {} final {}]",
-        c.sessions_resumed,
-        c.leases_readopted,
-        c.cells_recovered,
-        report.lease_sizes.0,
-        report.lease_sizes.1,
-        report.lease_sizes.2,
     );
     if let Some((connections, disconnects, delays)) = outcome.chaos {
         println!(

@@ -41,15 +41,11 @@ use dsp_bench::engine::{
 };
 
 use crate::auth::{fresh_nonce, mac64};
-use crate::lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
+use crate::lease::{grant_size, CellReport, GrantOutcome, LeaseLedger};
 use crate::protocol::{
     self, MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION,
 };
 use crate::stats::{CellProgress, FleetCounters, ResultsPage, StatusReport};
-
-/// Wall-clock budget one lease should represent; the adaptive sizer
-/// divides this by the observed per-cell EWMA.
-const TARGET_LEASE_MS: u64 = 1_500;
 
 /// Maintenance cadence (journal tailing, expiry, accept polling).
 const POLL_MS: u64 = 50;
@@ -64,10 +60,12 @@ pub struct FleetConfig {
     /// Fleet directory: master journal, lease journals, coordinator
     /// log. Workers on the same machine journal here too.
     pub dir: PathBuf,
-    /// Maximum cells per lease (the adaptive sizer's clamp).
+    /// Cells per lease. Near the end of the sweep a grant holds at most
+    /// half of the cells still queued, so the tail stays stealable.
     pub lease_cells: usize,
     /// Liveness timeout: a lease with no protocol message *and* no
     /// journal growth for this long is expired and its cells re-leased.
+    /// Workers heartbeat four times per timeout while a cell runs.
     pub timeout_ms: u64,
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port.
     pub port: u16,
@@ -109,16 +107,6 @@ pub struct FleetReport {
     pub cells: usize,
     /// Wall-clock seconds from coordinator start to the final merge.
     pub wall_s: f64,
-    /// `(min, max, final)` lease sizes the adaptive sizer granted.
-    pub lease_sizes: (usize, usize, usize),
-}
-
-/// One authenticated worker session: survives TCP connections, so a
-/// reconnecting worker can prove continuity and keep its leases.
-struct Session {
-    worker: String,
-    /// Leases granted under this session (dead ids are skipped on use).
-    leases: Vec<u64>,
 }
 
 /// Mutable coordinator state, behind one mutex.
@@ -126,11 +114,6 @@ struct State {
     ledger: LeaseLedger,
     /// Master journal writer; taken (closed) at completion.
     master: Option<JournalWriter>,
-    /// Adaptive lease sizing (EWMA of per-cell wall clock).
-    sizer: LeaseSizer,
-    /// Authenticated sessions by id.
-    sessions: HashMap<u64, Session>,
-    next_session: u64,
     /// Journal path per active lease, for tailing and harvest.
     lease_journals: HashMap<u64, PathBuf>,
     /// Every lease journal path ever assigned (or found on disk at
@@ -207,10 +190,10 @@ impl Coordinator {
     /// appended to it. A fresh ledger adopts all of those cells as done
     /// and serves the rest of the plan through the usual grant, steal
     /// and expire path, with new lease ids above every one on disk so
-    /// no grant truncates a journal of the crashed run. Sessions do not
-    /// survive the crash: an old worker that reconnects gets a fresh
-    /// session, and its old lease reports are answered `Stale` — which
-    /// workers already treat as routine.
+    /// no grant truncates a journal of the crashed run. An old worker
+    /// that reconnects re-handshakes like any other, and its reports for
+    /// leases of the crashed run are answered `Stale` — which workers
+    /// already treat as routine.
     ///
     /// # Errors
     ///
@@ -278,6 +261,12 @@ struct Durable {
     worker_of_cell: Vec<Option<String>>,
 }
 
+/// How often workers heartbeat a running lease: four times per
+/// liveness timeout, so one late heartbeat never expires a live lease.
+fn heartbeat_ms(config: &FleetConfig) -> u64 {
+    (config.timeout_ms / 4).max(1)
+}
+
 fn master_path(config: &FleetConfig) -> PathBuf {
     config
         .dir
@@ -319,9 +308,6 @@ fn serve(
     let state = State {
         ledger: durable.ledger,
         master: Some(durable.master),
-        sizer: LeaseSizer::new(TARGET_LEASE_MS, config.lease_cells),
-        sessions: HashMap::new(),
-        next_session: 1,
         lease_journals: HashMap::new(),
         journals: durable.journals,
         worker_of_cell: durable.worker_of_cell,
@@ -345,14 +331,14 @@ fn serve(
     let addr = listener.local_addr()?;
     shared.log(&format!(
         "coordinator {how} on {addr}: experiment {} ({} cells, manifest {}), scale {}, \
-         lease_cells {} (adaptive, target {}ms), timeout {}ms, auth {}",
+         lease_cells {}, timeout {}ms (heartbeat every {}ms), auth {}",
         shared.config.experiment,
         shared.plan.cells.len(),
         shared.identity.manifest,
         shared.config.scale_name,
         shared.config.lease_cells,
-        TARGET_LEASE_MS,
         shared.config.timeout_ms,
+        heartbeat_ms(&shared.config),
         if shared.config.token.is_empty() {
             "open"
         } else {
@@ -602,14 +588,12 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
             reconciled,
             cells: state.ledger.total(),
             wall_s: shared.epoch.elapsed().as_secs_f64(),
-            lease_sizes: state.sizer.trajectory(),
         }),
     };
     shared.log(&format!(
         "sweep complete: {} cells | leases granted {} completed {} expired {} | cells granted {} \
-         completed {} stolen {} harvested {} stale-rejected {} | sessions resumed {} leases \
-         re-adopted {} | cells recovered {} | lease sizes {:?} | compacted {} \
-         journals | leases_reconciled: {reconciled}",
+         completed {} stolen {} harvested {} stale-rejected {} | cells recovered {} | \
+         compacted {} journals | leases_reconciled: {reconciled}",
         state.ledger.total(),
         counters.leases_granted,
         counters.leases_completed,
@@ -619,10 +603,7 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
         counters.cells_stolen,
         counters.cells_harvested,
         counters.stale_reports,
-        counters.sessions_resumed,
-        counters.leases_readopted,
         counters.cells_recovered,
-        state.sizer.trajectory(),
         paths.len(),
     ));
     if let Err(e) = &result {
@@ -632,14 +613,14 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     shared.done.notify_all();
 }
 
-/// Where a connection stands in the v2 handshake.
+/// Where a connection stands in the v3 handshake.
 enum ConnAuth {
     /// Nothing received yet (or the handshake was restarted).
     Fresh,
     /// `Hello` accepted; waiting for the `Auth` answer to this nonce.
     Challenged { worker: String, nonce: u64 },
-    /// Authenticated under this session; mutating requests allowed.
-    Ready { session: u64 },
+    /// Authenticated; mutating requests allowed.
+    Ready,
 }
 
 /// One connection: requests in, replies out, until EOF or shutdown.
@@ -696,7 +677,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
 fn unauthenticated(what: &str) -> Reply {
     Reply::Refused {
         error: ProtocolError::AuthFailure {
-            detail: format!("{what} requires an authenticated session (Hello then Auth first)"),
+            detail: format!("{what} requires an authenticated connection (Hello then Auth first)"),
         },
     }
 }
@@ -721,11 +702,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
             *auth = ConnAuth::Challenged { worker, nonce };
             Reply::Challenge { nonce }
         }
-        Request::Auth {
-            worker,
-            mac,
-            session,
-        } => {
+        Request::Auth { worker, mac } => {
             let ConnAuth::Challenged {
                 worker: hello_worker,
                 nonce,
@@ -754,62 +731,22 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     },
                 };
             }
-            let mut state = shared.state.lock().expect("state lock poisoned");
-            let state = &mut *state;
-            let sid = match session {
-                // A reconnect presenting a session we know for this
-                // worker: re-adopt its live leases instead of letting
-                // them expire.
-                Some(prev)
-                    if state
-                        .sessions
-                        .get(&prev)
-                        .is_some_and(|s| s.worker == worker) =>
-                {
-                    let leases = state.sessions[&prev].leases.clone();
-                    let mut readopted = 0u64;
-                    for lease in leases {
-                        if state.ledger.heartbeat(lease, now) {
-                            readopted += 1;
-                        }
-                    }
-                    state.ledger.counters.sessions_resumed += 1;
-                    state.ledger.counters.leases_readopted += readopted;
-                    shared.log(&format!(
-                        "worker {worker} resumed session {prev}: {readopted} live leases \
-                         re-adopted"
-                    ));
-                    prev
-                }
-                _ => {
-                    let sid = state.next_session;
-                    state.next_session += 1;
-                    state.sessions.insert(
-                        sid,
-                        Session {
-                            worker: worker.clone(),
-                            leases: Vec::new(),
-                        },
-                    );
-                    shared.log(&format!("worker {worker} authenticated: session {sid}"));
-                    sid
-                }
-            };
-            *auth = ConnAuth::Ready { session: sid };
+            shared.log(&format!("worker {worker} authenticated"));
+            *auth = ConnAuth::Ready;
             Reply::Welcome {
                 proto: PROTOCOL_VERSION,
                 scale: shared.config.scale_name.clone(),
                 identity: shared.identity.clone(),
-                session: sid,
+                heartbeat_ms: heartbeat_ms(&shared.config),
             }
         }
         Request::Lease { worker } => {
-            let ConnAuth::Ready { session } = *auth else {
+            if !matches!(*auth, ConnAuth::Ready) {
                 return unauthenticated("Lease");
-            };
+            }
             let mut state = shared.state.lock().expect("state lock poisoned");
             let state = &mut *state;
-            let size = state.sizer.size(state.ledger.pending());
+            let size = grant_size(shared.config.lease_cells, state.ledger.pending());
             match state.ledger.grant(&worker, now, size) {
                 GrantOutcome::Granted {
                     lease,
@@ -821,11 +758,8 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     let path = shared.config.dir.join(&journal);
                     state.lease_journals.insert(lease, path.clone());
                     state.journals.push(path);
-                    if let Some(s) = state.sessions.get_mut(&session) {
-                        s.leases.push(lease);
-                    }
                     shared.log(&format!(
-                        "lease {lease} -> {worker} (session {session}): {} cells{} -> {journal}",
+                        "lease {lease} -> {worker}: {} cells{} -> {journal}",
                         cells.len(),
                         if stolen {
                             " (stolen from a straggler)"
@@ -844,7 +778,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
             }
         }
         Request::Heartbeat { lease, .. } => {
-            if !matches!(*auth, ConnAuth::Ready { .. }) {
+            if !matches!(*auth, ConnAuth::Ready) {
                 return unauthenticated("Heartbeat");
             }
             let mut state = shared.state.lock().expect("state lock poisoned");
@@ -861,7 +795,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
             index,
             output,
         } => {
-            if !matches!(*auth, ConnAuth::Ready { .. }) {
+            if !matches!(*auth, ConnAuth::Ready) {
                 return unauthenticated("CellDone");
             }
             let Some(id) = CellId::from_hex(&cell) else {
@@ -879,17 +813,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 };
             }
             let mut state = shared.state.lock().expect("state lock poisoned");
-            // Per-cell wall clock for the adaptive sizer: measured from
-            // the lease's last accepted progress, wire reports only
-            // (harvest bursts arrive all at once and would poison the
-            // EWMA).
-            let progress_base = state.ledger.lease(lease).map(|l| l.last_progress);
             let verdict = accept_cell(shared, &mut state, lease, &worker, id, index, *output, now);
-            if verdict == CellReport::Accepted {
-                if let Some(base) = progress_base {
-                    state.sizer.observe(now.saturating_sub(base));
-                }
-            }
             maybe_finish(shared, &mut state);
             match verdict {
                 CellReport::Accepted | CellReport::Duplicate => Reply::Ack,
@@ -902,7 +826,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
             }
         }
         Request::Complete { worker, lease } => {
-            if !matches!(*auth, ConnAuth::Ready { .. }) {
+            if !matches!(*auth, ConnAuth::Ready) {
                 return unauthenticated("Complete");
             }
             let mut state = shared.state.lock().expect("state lock poisoned");

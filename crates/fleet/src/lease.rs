@@ -54,10 +54,6 @@ pub struct Lease {
     pub done: usize,
     /// Last liveness evidence (protocol message or journal growth).
     pub last_alive: u64,
-    /// When the last cell was accepted under this lease (or the grant
-    /// time, before any completion) — the baseline the coordinator's
-    /// [`LeaseSizer`] measures per-cell wall clock against.
-    pub last_progress: u64,
     /// Last observed journal size, for growth detection.
     pub journal_tail: JournalTail,
 }
@@ -240,7 +236,6 @@ impl LeaseLedger {
                 cells: cells.clone(),
                 done: 0,
                 last_alive: now,
-                last_progress: now,
                 journal_tail: JournalTail::default(),
             },
         );
@@ -317,7 +312,6 @@ impl LeaseLedger {
                 self.state[idx] = CellState::Done;
                 let l = self.active.get_mut(&lease).expect("checked");
                 l.last_alive = now;
-                l.last_progress = now;
                 l.done += 1;
                 l.cells.retain(|c| *c != cell);
                 self.counters.cells_completed += 1;
@@ -377,95 +371,11 @@ impl LeaseLedger {
     }
 }
 
-/// Feedback-regulated lease sizing (the LMS-AR idea applied to the
-/// control plane): instead of a fixed `--lease-cells`, the grant size
-/// tracks an EWMA of observed per-cell wall clock so each lease aims
-/// at a constant *time* budget. Early grants are big (nothing observed
-/// yet → take the clamp); as the EWMA settles, size becomes
-/// `target_ms / ewma`; and near the tail a pending-fraction limit
-/// shrinks grants further so work stealing keeps fine grain for the
-/// stragglers.
-///
-/// All-integer and pure: the same sequence of `observe`/`size` calls
-/// produces the same sizes, so the policy is deterministic given the
-/// report stream (and the final table never depends on it at all —
-/// sizing only changes the interleaving, which the merge layer already
-/// proves irrelevant).
-#[derive(Debug)]
-pub struct LeaseSizer {
-    /// Wall-clock budget one lease should represent.
-    target_ms: u64,
-    /// Hard size clamp (the configured `--lease-cells`).
-    max_cells: usize,
-    /// EWMA of per-cell milliseconds; `None` until the first sample.
-    ewma_ms: Option<u64>,
-    /// Smallest size granted so far (the trajectory `repro fleet` prints).
-    min_size: usize,
-    /// Largest size granted so far.
-    max_size: usize,
-    /// Most recent size granted.
-    last_size: usize,
-}
-
-impl LeaseSizer {
-    /// A sizer aiming each lease at `target_ms` of work, never granting
-    /// more than `max_cells` cells.
-    pub fn new(target_ms: u64, max_cells: usize) -> Self {
-        LeaseSizer {
-            target_ms: target_ms.max(1),
-            max_cells: max_cells.max(1),
-            ewma_ms: None,
-            min_size: 0,
-            max_size: 0,
-            last_size: 0,
-        }
-    }
-
-    /// Feeds one observed per-cell duration into the EWMA
-    /// (`ewma ← (7·ewma + sample) / 8`, integer, sample floored at
-    /// 1 ms so a burst of sub-millisecond cells cannot divide by zero
-    /// later).
-    pub fn observe(&mut self, cell_ms: u64) {
-        let sample = cell_ms.max(1);
-        self.ewma_ms = Some(match self.ewma_ms {
-            None => sample,
-            Some(e) => (7 * e + sample) / 8,
-        });
-    }
-
-    /// The current per-cell estimate, if anything has been observed.
-    pub fn ewma_ms(&self) -> Option<u64> {
-        self.ewma_ms
-    }
-
-    /// Decides the next grant's size given `pending` cells still
-    /// queued, and records it in the trajectory.
-    pub fn size(&mut self, pending: usize) -> usize {
-        let by_time = match self.ewma_ms {
-            // Nothing observed: open big, the clamp is the policy.
-            None => self.max_cells,
-            Some(ewma) => (self.target_ms / ewma.max(1)).max(1) as usize,
-        };
-        // Tail limit: never hand one worker more than ~half of what is
-        // left, so the endgame stays stealable.
-        let by_tail = pending.div_ceil(2).max(1);
-        let size = by_time.min(by_tail).min(self.max_cells).max(1);
-        if self.last_size == 0 {
-            self.min_size = size;
-            self.max_size = size;
-        } else {
-            self.min_size = self.min_size.min(size);
-            self.max_size = self.max_size.max(size);
-        }
-        self.last_size = size;
-        size
-    }
-
-    /// `(min, max, final)` granted sizes, for the BENCH robustness row;
-    /// zeros when nothing was granted.
-    pub fn trajectory(&self) -> (usize, usize, usize) {
-        (self.min_size, self.max_size, self.last_size)
-    }
+/// How many cells the next grant holds: the configured lease size,
+/// but never more than half of what is still queued (rounded up, at
+/// least one), so the endgame stays fine-grained enough to steal.
+pub(crate) fn grant_size(lease_cells: usize, pending: usize) -> usize {
+    lease_cells.min(pending.div_ceil(2)).max(1)
 }
 
 #[cfg(test)]
@@ -595,27 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn sizer_opens_big_then_tracks_the_ewma_and_the_tail() {
-        let mut sizer = LeaseSizer::new(400, 8);
-        // No observations yet: clamp wins (tail limit permitting).
-        assert_eq!(sizer.size(64), 8);
-        // 100 ms/cell settles the EWMA → 400/100 = 4 cells per lease.
-        for _ in 0..20 {
-            sizer.observe(100);
-        }
-        assert_eq!(sizer.size(64), 4);
-        // Cells slowed down to ~400 ms: one cell per lease.
-        for _ in 0..40 {
-            sizer.observe(400);
-        }
-        assert_eq!(sizer.size(64), 1);
-        // Near the tail the pending fraction dominates.
-        let mut tail_sizer = LeaseSizer::new(10_000, 8);
-        assert_eq!(tail_sizer.size(6), 3, "6 pending → ceil(6/2) = 3");
-        assert_eq!(tail_sizer.size(1), 1, "1 pending → ceil(1/2) = 1");
-        assert_eq!(tail_sizer.size(0), 1, "floor at one cell");
-        let (min, max, last) = sizer.trajectory();
-        assert_eq!((min, max, last), (1, 8, 1));
+    fn grant_size_is_the_lease_size_capped_by_half_the_queue() {
+        assert_eq!(grant_size(8, 64), 8, "a long queue: the lease size");
+        assert_eq!(grant_size(8, 6), 3, "6 pending → ceil(6/2) = 3");
+        assert_eq!(grant_size(8, 1), 1, "1 pending → ceil(1/2) = 1");
+        assert_eq!(grant_size(8, 0), 1, "floor at one cell");
     }
 
     #[test]

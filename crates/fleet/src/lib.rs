@@ -22,8 +22,9 @@
 //!   before re-leasing the rest, and compacts every journal through
 //!   `merge_journals` into the final table.
 //! * [`worker`] — wraps `SweepSession`: pull a lease, run its cells
-//!   (journaling locally), stream each finished cell back, repeat until
-//!   the coordinator says the sweep is done.
+//!   (journaling locally, heartbeating while they run), stream each
+//!   finished cell back, repeat until the coordinator says the sweep is
+//!   done.
 //! * [`stats`] — counters, status snapshots, and result pages shared by
 //!   the protocol and the `repro fleet` / `fleet-status` front-ends.
 //!
@@ -32,9 +33,11 @@
 //! * [`auth`] — shared-token challenge/response (std-only keyed hash
 //!   over a coordinator nonce) so unauthenticated or version-skewed
 //!   clients get a typed refusal instead of a lease.
-//! * sessions — every authenticated worker holds a `SessionId`; a
-//!   worker that loses TCP but kept its shard journal reconnects with
-//!   the same id and its live leases are *re-adopted*, not harvested.
+//! * liveness — a lease stays alive while its holder shows signs of
+//!   life: a `Heartbeat` every `heartbeat_ms` while a cell runs, each
+//!   `CellDone`, and growth of its journal. The ledger judges every
+//!   report by lease id alone, so a worker that loses TCP reconnects
+//!   with backoff, re-handshakes and retransmits, and keeps its lease.
 //! * crash recovery — `repro fleet --recover` rebuilds a crashed
 //!   coordinator from its fleet directory alone: it reopens the master
 //!   journal, harvests every lease journal either run left there,
@@ -67,7 +70,7 @@ pub mod worker;
 
 pub use chaos::{ChaosProxy, ChaosSpec};
 pub use coordinator::{Coordinator, CoordinatorHandle, FleetConfig, FleetReport};
-pub use lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
+pub use lease::{CellReport, GrantOutcome, LeaseLedger};
 pub use protocol::{MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION};
 pub use stats::{CellProgress, FleetCounters, LeaseInfo, ResultsPage, StatusReport};
 pub use worker::{query_results, query_status, run_worker, run_worker_with, WorkerConfig};

@@ -14,21 +14,21 @@
 //! buffers partial lines across those timeouts, so a message split
 //! across TCP segments is never torn.
 //!
-//! # Handshake (v2)
+//! # Handshake (v3)
 //!
 //! ```text
 //! worker → Hello { worker, proto }
 //! coord  → Challenge { nonce }            (or Refused: VersionSkew)
-//! worker → Auth { worker, mac: mac64(token, nonce), session }
-//! coord  → Welcome { proto, scale, identity, session }
+//! worker → Auth { worker, mac: mac64(token, nonce) }
+//! coord  → Welcome { proto, scale, identity, heartbeat_ms }
 //!                                         (or Refused: AuthFailure)
 //! ```
 //!
-//! `session` in `Auth` is `None` on a fresh connection; a worker
-//! reconnecting after a dropped TCP session echoes the `SessionId` it
-//! was welcomed with, and the coordinator re-adopts its live leases
-//! instead of expiring them. Observer requests (`Status` / `Results`)
-//! need no auth — they reveal progress, not control.
+//! A connection carries no state beyond "authenticated": every report
+//! names its lease, and the coordinator judges it by that id alone. So
+//! a worker that reconnects after a dropped TCP connection runs the
+//! same handshake and simply retransmits. Observer requests (`Status` /
+//! `Results`) need no auth — they reveal progress, not control.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -40,8 +40,9 @@ use dsp_bench::engine::{manifest_digest, CellId, CellOutput, ExperimentPlan};
 use crate::stats::{ResultsPage, StatusReport};
 
 /// Protocol revision; bumped on any incompatible message change.
-/// v2 added the challenge/auth handshake and session ids.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v2 added the challenge/auth handshake; v3 dropped session ids and
+/// added the heartbeat interval to `Welcome`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Typed protocol violations — every way the coordinator can refuse a
 /// client, distinguishable by the client without parsing prose.
@@ -176,19 +177,16 @@ pub enum Request {
         worker: String,
         /// `auth::mac64(token, nonce)` over the challenged nonce.
         mac: u64,
-        /// `None` on a fresh connection; the previously-welcomed
-        /// `SessionId` when reconnecting, so live leases are re-adopted
-        /// instead of expired.
-        session: Option<u64>,
     },
     /// Ask for work.
     Lease {
         /// Requesting worker.
         worker: String,
     },
-    /// Keep-alive for a held lease (journal growth also counts as
-    /// liveness, so this is only needed when no cell has finished and
-    /// the journal is not visible to the coordinator).
+    /// Keep-alive for a held lease, sent every `Welcome.heartbeat_ms`
+    /// while its cells run. A lease journal grows only when a cell
+    /// finishes, so without it a cell that outlives the liveness
+    /// timeout would lose its lease.
     Heartbeat {
         /// Reporting worker.
         worker: String,
@@ -246,9 +244,10 @@ pub enum Reply {
         /// Full plan identity; the worker must verify it against the
         /// plan it builds locally before leasing.
         identity: PlanIdentity,
-        /// The connection's session id — echoed in `Auth.session` when
-        /// reconnecting to keep held leases alive.
-        session: u64,
+        /// How often to send [`Request::Heartbeat`] while a lease's
+        /// cells run; the coordinator derives it from its liveness
+        /// timeout.
+        heartbeat_ms: u64,
     },
     /// Work: run exactly these cells, journal to `journal`.
     Grant {
@@ -436,7 +435,6 @@ mod tests {
             &Request::Auth {
                 worker: "w1".into(),
                 mac: 0xdead_beef,
-                session: Some(3),
             },
         )
         .expect("send auth");
@@ -444,7 +442,7 @@ mod tests {
             &mut wire,
             &Request::Hello {
                 worker: "w1".into(),
-                proto: 2,
+                proto: PROTOCOL_VERSION,
             },
         )
         .expect("send hello");
@@ -455,15 +453,28 @@ mod tests {
                 got,
                 Request::Auth {
                     mac: 0xdead_beef,
-                    session: Some(3),
                     ..
                 }
             ),
             "{got:?}"
         );
         let mut wire = Vec::new();
+        let identity = PlanIdentity {
+            experiment: "fig5".into(),
+            title: "t".into(),
+            cells: 4,
+            seed: 7,
+            scale: "s".into(),
+            manifest: "m".into(),
+        };
         for reply in [
             Reply::Challenge { nonce: 17 },
+            Reply::Welcome {
+                proto: PROTOCOL_VERSION,
+                scale: "quick".into(),
+                identity: identity.clone(),
+                heartbeat_ms: 1_250,
+            },
             Reply::Refused {
                 error: ProtocolError::VersionSkew {
                     coordinator: PROTOCOL_VERSION,
@@ -476,6 +487,15 @@ mod tests {
         let mut reader = MessageReader::new(&wire[..]);
         let challenge: Reply = reader.recv().expect("recv").expect("some");
         assert!(matches!(challenge, Reply::Challenge { nonce: 17 }));
+        match reader.recv::<Reply>().expect("recv").expect("some") {
+            Reply::Welcome {
+                proto: PROTOCOL_VERSION,
+                identity: got,
+                heartbeat_ms: 1_250,
+                ..
+            } => assert_eq!(got, identity),
+            other => panic!("expected Welcome, got {other:?}"),
+        }
         let refused: Reply = reader.recv().expect("recv").expect("some");
         match refused {
             Reply::Refused { error } => {

@@ -31,12 +31,6 @@ pub struct FleetCounters {
     pub cells_harvested: u64,
     /// Reports rejected because the reporter no longer held the cell.
     pub stale_reports: u64,
-    /// Reconnects that presented a known `SessionId` and were welcomed
-    /// back.
-    pub sessions_resumed: u64,
-    /// Live leases re-adopted (refreshed instead of expired) across
-    /// those reconnects.
-    pub leases_readopted: u64,
     /// Completed cells adopted from the fleet directory's journals by
     /// `--recover` (zero on a run that never crashed).
     pub cells_recovered: u64,

@@ -12,21 +12,27 @@
 //! worker dies mid-lease, the coordinator harvests that journal; if the
 //! coordinator dies, the journal still merges by hand.
 //!
-//! # Sessions and reconnects
+//! # Reconnects and heartbeats
 //!
-//! Connecting means the v2 handshake: `Hello` → `Challenge` →
+//! Connecting means the v3 handshake: `Hello` → `Challenge` →
 //! `Auth` (a keyed hash of the fleet token over the challenged nonce)
-//! → `Welcome`, which carries the worker's `SessionId`. Every connect —
+//! → `Welcome`, which carries the heartbeat interval. Every connect —
 //! initial or reconnect — runs jittered exponential backoff under one
 //! wall-clock budget (`connect_timeout_ms`), with attempts surfaced in
 //! the worker log. When TCP dies mid-run, [`Fleet::exchange`]
-//! reconnects, re-authenticates *with the same `SessionId`*, and
-//! retransmits the request: the coordinator re-adopts the session's
-//! live leases, a retransmitted `CellDone` lands as a harmless
-//! `Duplicate`, and the `SweepSession` keeps running throughout — no
-//! journaled cell is ever re-run. Only when the budget is exhausted is
-//! the coordinator declared gone, and by then every finished cell is
-//! durable in the shard journal anyway.
+//! reconnects, re-handshakes, and retransmits the request: the
+//! coordinator judges reports by lease id alone, so the lease is still
+//! ours, a retransmitted `CellDone` lands as a harmless `Duplicate`,
+//! and the `SweepSession` keeps running throughout — no journaled cell
+//! is ever re-run. Only when the budget is exhausted is the coordinator
+//! declared gone, and by then every finished cell is durable in the
+//! shard journal anyway.
+//!
+//! While a lease's cells run, a scoped thread sends `Heartbeat` every
+//! `heartbeat_ms` over the same link (the two take turns through a
+//! mutex). The lease journal grows only when a cell finishes, so a cell
+//! that outlives the coordinator's liveness timeout would otherwise
+//! lose its lease on every attempt.
 //!
 //! One `SweepRunner` lives across all of a worker's leases, so traces
 //! and timing-sim partitions generated for one lease are reused by the
@@ -35,6 +41,8 @@
 use std::io::{self, ErrorKind};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{CellId, CellRecord, CellSink, ExperimentPlan, ShardSpec, SweepRunner};
@@ -93,7 +101,7 @@ pub struct WorkerReport {
     /// Leases abandoned after a `Stale` verdict (their remaining cells
     /// were re-leased elsewhere).
     pub stale_leases: usize,
-    /// Mid-run TCP sessions lost and re-established (same `SessionId`).
+    /// Mid-run TCP connections lost and re-established.
     pub reconnects: usize,
     /// Total `TcpStream::connect` attempts across initial connect and
     /// every reconnect.
@@ -123,7 +131,7 @@ pub fn run_worker_with(
     config: &WorkerConfig,
     lookup: impl Fn(&str, &str) -> Option<ExperimentPlan>,
 ) -> Result<WorkerReport, String> {
-    let mut fleet = Fleet::establish(config).map_err(|e| {
+    let fleet = Fleet::establish(config).map_err(|e| {
         format!(
             "worker {}: cannot join fleet at {}: {e}",
             config.name, config.connect
@@ -155,7 +163,9 @@ pub fn run_worker_with(
         )
     })?;
     let runner = SweepRunner::with_threads(config.threads);
-    let mut report = lease_loop(config, &mut fleet, &plan, &ids, &runner)?;
+    let fleet = Mutex::new(fleet);
+    let mut report = lease_loop(config, &fleet, &plan, &ids, &runner)?;
+    let fleet = fleet.into_inner().expect("fleet link poisoned");
     report.reconnects = fleet.reconnects;
     report.connect_attempts = fleet.connect_attempts;
     Ok(report)
@@ -165,16 +175,19 @@ pub fn run_worker_with(
 /// (or the coordinator stays gone past the reconnect budget).
 fn lease_loop(
     config: &WorkerConfig,
-    fleet: &mut Fleet<'_>,
+    fleet: &Mutex<Fleet<'_>>,
     plan: &ExperimentPlan,
     ids: &[CellId],
     runner: &SweepRunner,
 ) -> Result<WorkerReport, String> {
     let mut report = WorkerReport::default();
     loop {
-        let reply = match fleet.exchange(&Request::Lease {
-            worker: config.name.clone(),
-        }) {
+        let reply = match exchange(
+            fleet,
+            &Request::Lease {
+                worker: config.name.clone(),
+            },
+        ) {
             Ok(Some(reply)) => reply,
             // Coordinator gone past the reconnect budget: treat as
             // shutdown (see the run_worker docs).
@@ -214,9 +227,16 @@ fn lease_loop(
                     .session(plan)
                     .shard(ShardSpec::cells(cell_ids))
                     .checkpoint(config.dir.join(&journal));
-                session
-                    .run(&mut [&mut sink])
-                    .map_err(|e| format!("worker {}: lease {lease} failed: {e}", config.name))?;
+                let every =
+                    Duration::from_millis(fleet.lock().expect("fleet link poisoned").heartbeat_ms);
+                std::thread::scope(|scope| {
+                    let (stop, stopped) = mpsc::channel::<()>();
+                    scope.spawn(move || heartbeat(fleet, &config.name, lease, every, &stopped));
+                    let run = session.run(&mut [&mut sink]);
+                    drop(stop);
+                    run
+                })
+                .map_err(|e| format!("worker {}: lease {lease} failed: {e}", config.name))?;
                 let (accepted, stale, failure) = (sink.accepted, sink.stale, sink.failure);
                 if let Some(e) = failure {
                     if coordinator_gone(&e) {
@@ -232,10 +252,13 @@ fn lease_loop(
                     report.stale_leases += 1;
                     continue;
                 }
-                match fleet.exchange(&Request::Complete {
-                    worker: config.name.clone(),
-                    lease,
-                }) {
+                match exchange(
+                    fleet,
+                    &Request::Complete {
+                        worker: config.name.clone(),
+                        lease,
+                    },
+                ) {
                     Ok(Some(Reply::Ack)) => report.leases += 1,
                     Ok(Some(Reply::Stale { .. })) => report.stale_leases += 1,
                     Ok(Some(other)) => {
@@ -345,9 +368,8 @@ impl Link {
 struct Fleet<'a> {
     config: &'a WorkerConfig,
     link: Link,
-    /// The coordinator-issued session id; presented on reconnect so
-    /// live leases are re-adopted.
-    session: u64,
+    /// Heartbeat interval the coordinator advertised.
+    heartbeat_ms: u64,
     /// Scale preset the coordinator advertised.
     scale: String,
     /// Plan identity the coordinator advertised.
@@ -366,8 +388,8 @@ impl<'a> Fleet<'a> {
         loop {
             let stream = connect_with_backoff(config, started, &mut attempts)?;
             let mut link = Link::new(stream)?;
-            match handshake(&mut link, config, None) {
-                Ok((scale, identity, session)) => {
+            match handshake(&mut link, config) {
+                Ok((scale, identity, heartbeat_ms)) => {
                     if attempts > 1 {
                         eprintln!(
                             "worker {}: connected to {} after {attempts} attempts",
@@ -377,7 +399,7 @@ impl<'a> Fleet<'a> {
                     return Ok(Fleet {
                         config,
                         link,
-                        session,
+                        heartbeat_ms,
                         scale,
                         identity,
                         reconnects: 0,
@@ -395,30 +417,21 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Re-establishes a dropped TCP session under the same `SessionId`.
+    /// Re-establishes a dropped TCP connection with a fresh handshake.
+    /// A recovered coordinator answers reports for the crashed run's
+    /// leases `Stale`, which the sink already treats as routine.
     fn reconnect(&mut self) -> io::Result<()> {
         let started = Instant::now();
         loop {
             let stream = connect_with_backoff(self.config, started, &mut self.connect_attempts)?;
             let mut link = Link::new(stream)?;
-            match handshake(&mut link, self.config, Some(self.session)) {
-                Ok((_, _, session)) => {
+            match handshake(&mut link, self.config) {
+                Ok((_, _, heartbeat_ms)) => {
                     eprintln!(
-                        "worker {}: reconnected to {} (session {}{})",
-                        self.config.name,
-                        self.config.connect,
-                        session,
-                        if session == self.session {
-                            " resumed"
-                        } else {
-                            ", previous one unknown there"
-                        },
+                        "worker {}: reconnected to {}",
+                        self.config.name, self.config.connect
                     );
-                    // A recovered coordinator may not know the old
-                    // session; adopt whatever it issued — old lease
-                    // reports will be answered Stale, which the sink
-                    // already treats as routine.
-                    self.session = session;
+                    self.heartbeat_ms = heartbeat_ms;
                     self.link = link;
                     self.reconnects += 1;
                     return Ok(());
@@ -435,18 +448,18 @@ impl<'a> Fleet<'a> {
     }
 
     /// One request/reply, transparently surviving dropped connections:
-    /// on a torn session the worker reconnects (same `SessionId`) and
-    /// retransmits. Retransmission is safe for every request we send —
-    /// a repeated `CellDone` is judged `Duplicate`, a repeated
-    /// `Complete`/`Heartbeat` answers `Stale`, and a `Lease` whose
-    /// grant was lost in flight leaves an orphan lease that expiry
-    /// reclaims. Returns the original transport error once the
+    /// on a torn connection the worker reconnects and retransmits.
+    /// Retransmission is safe for every request we send — a repeated
+    /// `CellDone` is judged `Duplicate`, a repeated `Complete` answers
+    /// `Stale`, a repeated `Heartbeat` is just one more, and a `Lease`
+    /// whose grant was lost in flight leaves an orphan lease that
+    /// expiry reclaims. Returns the original transport error once the
     /// reconnect budget is spent.
     fn exchange(&mut self, request: &Request) -> io::Result<Option<Reply>> {
         loop {
             let torn = match self.link.exchange(request) {
                 Ok(Some(reply)) => return Ok(Some(reply)),
-                // EOF mid-run is a torn session until proven otherwise
+                // EOF mid-run is a torn connection until proven otherwise
                 // — a live coordinator says `Shutdown` explicitly.
                 Ok(None) => io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-run"),
                 Err(e) if coordinator_gone(&e) => e,
@@ -459,13 +472,37 @@ impl<'a> Fleet<'a> {
     }
 }
 
-/// The v2 handshake on a fresh connection; `resume` is the previous
-/// `SessionId` when reconnecting. Returns `(scale, identity, session)`.
-fn handshake(
-    link: &mut Link,
-    config: &WorkerConfig,
-    resume: Option<u64>,
-) -> io::Result<(String, PlanIdentity, u64)> {
+/// [`Fleet::exchange`] on the link the lease loop, the report sink and
+/// the heartbeat thread share.
+fn exchange(fleet: &Mutex<Fleet<'_>>, request: &Request) -> io::Result<Option<Reply>> {
+    fleet.lock().expect("fleet link poisoned").exchange(request)
+}
+
+/// Keeps `lease` alive while its cells run: one `Heartbeat` every
+/// `every` until `stop` hangs up. Gives up once the lease is gone or
+/// the link fails; the report sink meets the same verdict on its next
+/// exchange.
+fn heartbeat(
+    fleet: &Mutex<Fleet<'_>>,
+    worker: &str,
+    lease: u64,
+    every: Duration,
+    stop: &mpsc::Receiver<()>,
+) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(every) {
+        let request = Request::Heartbeat {
+            worker: worker.to_string(),
+            lease,
+        };
+        if !matches!(exchange(fleet, &request), Ok(Some(Reply::Ack))) {
+            return;
+        }
+    }
+}
+
+/// The v3 handshake on a fresh connection. Returns `(scale, identity,
+/// heartbeat_ms)`.
+fn handshake(link: &mut Link, config: &WorkerConfig) -> io::Result<(String, PlanIdentity, u64)> {
     let hung_up = || {
         io::Error::new(
             ErrorKind::UnexpectedEof,
@@ -492,7 +529,6 @@ fn handshake(
         .exchange(&Request::Auth {
             worker: config.name.clone(),
             mac: mac64(&config.token, nonce),
-            session: resume,
         })?
         .ok_or_else(hung_up)?;
     match reply {
@@ -500,7 +536,7 @@ fn handshake(
             proto,
             scale,
             identity,
-            session,
+            heartbeat_ms,
         } => {
             if proto != PROTOCOL_VERSION {
                 return Err(io::Error::new(
@@ -510,7 +546,7 @@ fn handshake(
                     ),
                 ));
             }
-            Ok((scale, identity, session))
+            Ok((scale, identity, heartbeat_ms))
         }
         Reply::Refused { error } => Err(refused(&error)),
         other => Err(io::Error::new(
@@ -588,10 +624,10 @@ fn connect_with_backoff(
 /// Streams each finished cell to the coordinator as the session
 /// produces it. The journal write happens first (inside the session),
 /// so a cell is durable before it is reported — and because reporting
-/// goes through [`Fleet::exchange`], a dropped TCP session mid-lease
-/// reconnects and resumes without the sweep ever noticing.
+/// goes through [`Fleet::exchange`], a dropped TCP connection mid-lease
+/// reconnects and retransmits without the sweep ever noticing.
 struct ReportSink<'a, 'b> {
-    fleet: &'b mut Fleet<'a>,
+    fleet: &'b Mutex<Fleet<'a>>,
     worker: &'b str,
     lease: u64,
     /// Plan-order manifest, for index lookup.
@@ -616,7 +652,7 @@ impl CellSink for ReportSink<'_, '_> {
             output: Box::new(record.output.clone()),
         };
         debug_assert_eq!(self.ids.get(record.index), Some(&record.id));
-        match self.fleet.exchange(&request) {
+        match exchange(self.fleet, &request) {
             Ok(Some(Reply::Ack)) => self.accepted += 1,
             Ok(Some(Reply::Stale { .. })) => self.stale = true,
             Ok(Some(Reply::Refused { error })) => {

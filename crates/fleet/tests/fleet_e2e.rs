@@ -2,7 +2,8 @@
 //! plus in-process workers must produce a table byte-identical to a
 //! serial run — including when a worker dies mid-lease and its journal
 //! is harvested, when every connection runs through a flaky chaos
-//! proxy, and when the coordinator itself crashes (once or twice) and
+//! proxy, when each cell outlives the liveness timeout, and when the
+//! coordinator itself crashes (once or twice) and
 //! is recovered from the journals in its fleet directory — with a
 //! lease ledger that reconciles exactly and a control plane that
 //! refuses hostile clients.
@@ -23,6 +24,7 @@ use dsp_fleet::{
     query_results, query_status, run_worker_with, ChaosProxy, ChaosSpec, Coordinator, FleetConfig,
     MessageReader, ProtocolError, Reply, Request, WorkerConfig, PROTOCOL_VERSION,
 };
+use dsp_sim::CpuModel;
 use dsp_trace::Workload;
 use dsp_types::hash::mix64;
 use dsp_types::SystemConfig;
@@ -80,6 +82,43 @@ fn tiny_plan() -> ExperimentPlan {
     })
 }
 
+/// Two timing-simulation cells, each about a second of work in a
+/// release build (several times [`LONG_CELL_TIMEOUT_MS`]) even once
+/// the worker has cached its trace partitions.
+fn slow_plan() -> ExperimentPlan {
+    let scale = Scale {
+        sim_measured: 30_000,
+        ..tiny_scale()
+    };
+    let mut plan = ExperimentPlan::new("e2e-slow", &["workload", "label", "runtime"], &scale);
+    for workload in [Workload::Oltp, Workload::Apache] {
+        plan.push(Cell::Runtime {
+            config: SystemConfig::isca03(),
+            workload,
+            cpu: CpuModel::Simple,
+            target: None,
+            toxics: None,
+            topology: None,
+            protocols: Vec::new(),
+        });
+    }
+    plan.render(|cells, outputs, table| {
+        for (cell, output) in cells.iter().zip(outputs) {
+            let workload = cell.workload().expect("runtime cell").name();
+            for point in output.runtime() {
+                table.row([
+                    workload.to_string(),
+                    point.label.clone(),
+                    format!("{:.3}", point.normalized_runtime),
+                ]);
+            }
+        }
+    })
+}
+
+/// The liveness timeout [`long_cells_keep_their_lease`] runs under.
+const LONG_CELL_TIMEOUT_MS: u64 = 250;
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsp-fleet-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -124,15 +163,14 @@ fn recv_reply(reader: &mut MessageReader<TcpStream>) -> Reply {
     }
 }
 
-/// The v2 handshake for hand-rolled test clients: Hello → Challenge →
-/// Auth → Welcome. Returns the issued session id and the plan identity.
+/// The v3 handshake for hand-rolled test clients: Hello → Challenge →
+/// Auth → Welcome. Returns the plan identity.
 fn client_handshake(
     stream: &mut TcpStream,
     reader: &mut MessageReader<TcpStream>,
     name: &str,
     token: &str,
-    resume: Option<u64>,
-) -> (u64, PlanIdentity) {
+) -> PlanIdentity {
     send(
         stream,
         &Request::Hello {
@@ -149,14 +187,11 @@ fn client_handshake(
         &Request::Auth {
             worker: name.into(),
             mac: mac64(token, nonce),
-            session: resume,
         },
     )
     .expect("auth");
     match recv_reply(reader) {
-        Reply::Welcome {
-            session, identity, ..
-        } => (session, identity),
+        Reply::Welcome { identity, .. } => identity,
         other => panic!("expected Welcome, got {other:?}"),
     }
 }
@@ -247,7 +282,7 @@ fn killed_worker_is_harvested_and_reassigned() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
-    let (_, identity) = client_handshake(&mut stream, &mut reader, "rogue", "", None);
+    let identity = client_handshake(&mut stream, &mut reader, "rogue", "");
     assert_eq!(identity.cells, 6);
     send(
         &mut stream,
@@ -333,12 +368,12 @@ fn killed_worker_is_harvested_and_reassigned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Reconnect-and-resume: a client that loses TCP mid-lease but kept
-/// its journal re-authenticates with the same `SessionId`, keeps the
-/// lease (no expiry, no harvest), resumes from its journal without
-/// re-running the journaled cell, and completes normally.
+/// Reconnect: a client that loses TCP mid-lease but kept its journal
+/// re-authenticates with a fresh handshake, keeps the lease (no expiry,
+/// no harvest), resumes from its journal without re-running the
+/// journaled cell, and completes normally.
 #[test]
-fn reconnect_resumes_session_and_keeps_the_lease() {
+fn reconnect_keeps_the_lease() {
     let dir = fresh_dir("resume");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let plan = tiny_plan();
@@ -347,8 +382,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 3;
     // Expiry must not be what saves this test: the lease has to
-    // survive because the session was re-adopted, not because it timed
-    // out and was harvested.
+    // survive the reconnect, not time out and be harvested.
     config.timeout_ms = 60_000;
     config.token = "sesame".into();
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
@@ -361,7 +395,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
-    let (session, _) = client_handshake(&mut stream, &mut reader, "lazarus", "sesame", None);
+    client_handshake(&mut stream, &mut reader, "lazarus", "sesame");
     send(
         &mut stream,
         &Request::Lease {
@@ -415,15 +449,13 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     drop(reader);
     drop(stream);
 
-    // Second connection, same session: the lease must still be ours.
+    // Second connection: the lease must still be ours.
     let mut stream = TcpStream::connect(&addr).expect("reconnect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
-    let (resumed, _) =
-        client_handshake(&mut stream, &mut reader, "lazarus", "sesame", Some(session));
-    assert_eq!(resumed, session, "the session id must survive reconnect");
+    client_handshake(&mut stream, &mut reader, "lazarus", "sesame");
     send(
         &mut stream,
         &Request::Heartbeat {
@@ -434,7 +466,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     .expect("heartbeat");
     assert!(
         matches!(recv_reply(&mut reader), Reply::Ack),
-        "a re-adopted lease must heartbeat as live, not Stale"
+        "the lease must heartbeat as live after the reconnect, not Stale"
     );
 
     // Resume the sweep from the journal: every journaled cell replays,
@@ -493,11 +525,9 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     assert!(report.reconciled, "ledger: {:?}", report.counters);
     assert_eq!(
         report.counters.leases_expired, 0,
-        "re-adoption, not expiry, must carry the lease: {:?}",
+        "the reconnect, not expiry, must carry the lease: {:?}",
         report.counters
     );
-    assert_eq!(report.counters.sessions_resumed, 1);
-    assert_eq!(report.counters.leases_readopted, 1);
     worker.join().expect("join").expect("worker ok");
     coordinator.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -506,7 +536,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
 /// Chaos: every worker connection runs through a seeded flaky proxy
 /// that injects delays, stalls, and mid-message disconnects — the
 /// fleet must still finish byte-identical with a reconciled ledger,
-/// riding reconnect-and-resume.
+/// riding reconnect-and-retransmit.
 #[test]
 fn chaos_proxied_fleet_still_matches_serial() {
     let dir = fresh_dir("chaos");
@@ -551,9 +581,52 @@ fn chaos_proxied_fleet_still_matches_serial() {
     }
     assert!(
         reconnects >= 1,
-        "some worker must have resumed its session: {:?}",
+        "some worker must have reconnected: {:?}",
         report.counters
     );
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cells that outlive the liveness timeout: a lease journal grows only
+/// when a cell finishes, so only the worker's heartbeats show the
+/// coordinator that it is alive. No lease may expire, and the sweep
+/// must finish byte-identical to serial before the deadline instead of
+/// re-leasing every cell forever.
+#[test]
+fn long_cells_keep_their_lease() {
+    let dir = fresh_dir("long");
+    let serial = SweepRunner::serial().run(&slow_plan()).to_csv();
+
+    let mut config = FleetConfig::new("e2e-slow", "slow", &dir);
+    config.lease_cells = 1;
+    config.timeout_ms = LONG_CELL_TIMEOUT_MS;
+    let coordinator = Coordinator::start(slow_plan(), config).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+    let workers: Vec<_> = (1..=2)
+        .map(|i| {
+            let config = WorkerConfig::new(&format!("w{i}"), &addr, &dir);
+            std::thread::spawn(move || {
+                run_worker_with(&config, |experiment, _| {
+                    (experiment == "e2e-slow").then(slow_plan)
+                })
+            })
+        })
+        .collect();
+    let report = coordinator
+        .wait(Duration::from_secs(120))
+        .expect("long cells must not be re-leased forever");
+
+    assert_eq!(report.csv, serial, "fleet table must be byte-identical");
+    assert!(report.reconciled, "ledger: {:?}", report.counters);
+    assert_eq!(
+        report.counters.leases_expired, 0,
+        "heartbeats must keep running cells leased: {:?}",
+        report.counters
+    );
+    for worker in workers {
+        worker.join().expect("join").expect("worker ok");
+    }
     coordinator.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -658,7 +731,7 @@ fn lease_and_journal_one(addr: &str, dir: &std::path::Path, name: &str, report: 
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
-    client_handshake(&mut stream, &mut reader, name, "", None);
+    client_handshake(&mut stream, &mut reader, name, "");
     send(
         &mut stream,
         &Request::Lease {
@@ -895,7 +968,6 @@ fn hostile_clients_are_refused_and_the_fleet_survives() {
             &Request::Auth {
                 worker: "imposter".into(),
                 mac: mac64("wrong-token", nonce),
-                session: None,
             },
         )
         .expect("auth");
