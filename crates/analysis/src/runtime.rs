@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use dsp_sim::{
-    simulate_with_partition, CpuModel, DispatchMode, ProtocolKind, SetWidth, SimConfig, SimReport,
-    TargetSystem, TopologySpec, ToxicSpec, TracePartition, TrainingMode,
+    simulate_with_partition, CpuModel, ProtocolKind, SetWidth, SimConfig, SimReport, TargetSystem,
+    TopologySpec, ToxicSpec, TracePartition, TrainingMode,
 };
 use dsp_trace::WorkloadSpec;
 use dsp_types::SystemConfig;
@@ -57,7 +57,6 @@ pub struct RuntimeEvaluator {
     runs: usize,
     training: TrainingMode,
     width: SetWidth,
-    dispatch: DispatchMode,
     toxics: ToxicSpec,
     topology: TopologySpec,
 }
@@ -76,7 +75,6 @@ impl RuntimeEvaluator {
             runs: 1,
             training: TrainingMode::default(),
             width: SetWidth::default(),
-            dispatch: DispatchMode::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
         }
@@ -141,12 +139,9 @@ impl RuntimeEvaluator {
         self
     }
 
-    /// Selects the event dispatch mode (batched by default; per-event
-    /// is the reference loop — observationally identical, pinned by the
-    /// equivalence suites).
+    /// Returns `self` unchanged; see [`dsp_sim::DispatchMode`].
     #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+    pub fn dispatch(self, _: dsp_sim::DispatchMode) -> Self {
         self
     }
 
@@ -205,7 +200,6 @@ impl RuntimeEvaluator {
                 .seed(self.seed + r as u64 * 7919)
                 .training(self.training)
                 .width(self.width)
-                .dispatch(self.dispatch)
                 .toxics(self.toxics.clone())
                 .topology(self.topology);
             let rep =
@@ -361,23 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn widths_and_dispatch_modes_produce_identical_points() {
+    fn widths_produce_identical_points() {
         let protocol = ProtocolKind::Multicast(
             PredictorConfig::owner_group().indexing(Indexing::Macroblock { bytes: 1024 }),
         );
         let spec = spec(Workload::Oltp);
         let reference = eval().width(SetWidth::Wide).run(&spec, &[protocol]);
-        for (width, dispatch) in [
-            (SetWidth::Narrow, DispatchMode::Batched),
-            (SetWidth::Narrow, DispatchMode::PerEvent),
-            (SetWidth::Wide, DispatchMode::PerEvent),
-        ] {
-            let got = eval()
-                .width(width)
-                .dispatch(dispatch)
-                .run(&spec, &[protocol]);
-            assert_eq!(got, reference, "{width:?}/{dispatch:?} must be invisible");
-        }
+        let narrow = eval().width(SetWidth::Narrow).run(&spec, &[protocol]);
+        assert_eq!(narrow, reference, "set width must be invisible");
     }
 
     #[test]

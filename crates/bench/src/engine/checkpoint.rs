@@ -1,10 +1,10 @@
 //! Checkpoint journals: durable JSONL records of completed cells.
 //!
 //! A journal is one JSON object per line. The first line is a
-//! [`JournalHeader`] identifying the plan (title, cell count, seed, and
+//! `JournalHeader` identifying the plan (title, cell count, seed, and
 //! the full scale parameters) so a journal can never silently resume or
 //! merge against a different experiment or run size. Every following
-//! line is a [`JournalRecord`]: the cell's [`CellId`] plus its
+//! line is a `JournalRecord`: the cell's [`CellId`] plus its
 //! serialized [`CellOutput`]. Records are flushed line-by-line as cells
 //! finish, so a crash loses at most the cell in flight — a torn final
 //! line is expected and tolerated on read.
@@ -344,7 +344,7 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
 ///
 /// # Errors
 ///
-/// Everything [`read_journal`] rejects: I/O failure, a header that does
+/// Everything `read_journal` rejects: I/O failure, a header that does
 /// not match the plan, or a corrupt terminated record. A torn final
 /// line (crash mid-write) is tolerated and skipped.
 pub fn harvest_journal(plan: &ExperimentPlan, path: &Path) -> Result<HarvestedCells, SessionError> {

@@ -74,8 +74,8 @@ use dsp_analysis::{
 };
 use dsp_core::PredictorConfig;
 use dsp_sim::{
-    CpuModel, DispatchMode, ProtocolKind, SetWidth, TargetSystem, TopologySpec, ToxicSpec,
-    TracePartition, TrainingMode,
+    CpuModel, ProtocolKind, SetWidth, TargetSystem, TopologySpec, ToxicSpec, TracePartition,
+    TrainingMode,
 };
 use dsp_trace::{TraceRecord, Workload, WorkloadSpec};
 use dsp_types::SystemConfig;
@@ -304,10 +304,9 @@ pub struct ExperimentPlan {
     /// explicit widths let the golden suite pin both monomorphizations
     /// to identical output).
     pub width: SetWidth,
-    /// Event-dispatch mode for the plan's timing simulations (batched
-    /// by default; per-event is selectable so the golden suite can
-    /// diff both loops through whole experiments).
-    pub dispatch: DispatchMode,
+    /// Inert; nothing reads it but `perfbench` (see
+    /// [`dsp_sim::DispatchMode`]).
+    pub dispatch: dsp_sim::DispatchMode,
     /// Fault-injection chain for the plan's timing simulations (empty
     /// by default; [`Cell::Runtime`] cells may override per cell). The
     /// empty chain on the crossbar topology is byte-identical to the
@@ -330,7 +329,6 @@ impl std::fmt::Debug for ExperimentPlan {
             .field("seed", &self.seed)
             .field("training", &self.training)
             .field("width", &self.width)
-            .field("dispatch", &self.dispatch)
             .field("toxics", &self.toxics)
             .field("topology", &self.topology)
             .field("cells", &self.cells.len())
@@ -348,7 +346,7 @@ impl ExperimentPlan {
             seed: crate::experiments::SEED,
             training: TrainingMode::default(),
             width: SetWidth::default(),
-            dispatch: DispatchMode::default(),
+            dispatch: dsp_sim::DispatchMode,
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
             cells: Vec::new(),
@@ -371,15 +369,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn width(mut self, width: SetWidth) -> Self {
         self.width = width;
-        self
-    }
-
-    /// Selects the event-dispatch mode for the plan's timing
-    /// simulations. Output must not change — `golden_outputs.rs` pins
-    /// experiment goldens under both modes.
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -651,7 +640,6 @@ pub(crate) fn execute_cell(
                 .seed(plan.seed)
                 .training(plan.training)
                 .width(plan.width)
-                .dispatch(plan.dispatch)
                 .toxics(toxics.clone().unwrap_or_else(|| plan.toxics.clone()))
                 .topology(topology.unwrap_or(plan.topology));
             if let Some(target) = target {

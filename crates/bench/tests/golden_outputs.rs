@@ -19,8 +19,8 @@
 //!    under both the lazy (default) and eager training-delivery modes,
 //!    with an explicitly-empty toxic chain on the explicit crossbar
 //!    topology (the fault-injection layer's identity gate), and — for
-//!    timing-sim plans — under per-event dispatch and the explicit
-//!    wide `DestSet<4>` monomorphization as well;
+//!    timing-sim plans — under the explicit wide `DestSet<4>`
+//!    monomorphization as well;
 //! 2. a 2-shard run — two sessions journaling to JSONL, then
 //!    `merge_journals`;
 //! 3. a crash-then-resume run — a full journal truncated mid-file, a
@@ -39,7 +39,7 @@ use std::path::PathBuf;
 
 use dsp_bench::engine::{merge_journals, Cell, ShardSpec, SweepRunner, SweepSession};
 use dsp_bench::{experiments, Scale};
-use dsp_sim::{DispatchMode, SetWidth, TopologySpec, ToxicSpec, TrainingMode};
+use dsp_sim::{SetWidth, TopologySpec, ToxicSpec, TrainingMode};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsp-golden-{}-{name}", std::process::id()));
@@ -95,24 +95,15 @@ fn check(name: &str, golden: &str) {
             "{name} batch output (eager training) diverged from the pre-refactor golden"
         );
 
-        // Batched dispatch and the compile-time set width are pure
-        // performance representations: the per-event loop and the
-        // explicit wide (`DestSet<4>`) monomorphization must both
-        // render byte-identical tables. (The defaults — batched
-        // dispatch, auto width, i.e. `DestSet<1>` at these 16-node
-        // configs — are what run 1 above already pinned.) The wide plan
+        // The compile-time set width is a pure performance
+        // representation: the explicit wide (`DestSet<4>`)
+        // monomorphization must render byte-identical tables. (The
+        // default — auto width, i.e. `DestSet<1>` at these 16-node
+        // configs — is what run 1 above already pinned.) The wide plan
         // forces only the timing simulations; the trace-driven cells
         // always pick their width from the node count, and their
         // `DestSet<4>` path is pinned by the `narrow_and_wide_paths_agree`
         // unit tests in `crates/analysis/src/{tradeoff,characterize}.rs`.
-        let per_event_plan = experiments::plan_for(name, &scale)
-            .expect("known experiment")
-            .dispatch(DispatchMode::PerEvent);
-        assert_eq!(
-            SweepRunner::new().run(&per_event_plan).to_csv(),
-            golden,
-            "{name} batch output (per-event dispatch) diverged from the pre-refactor golden"
-        );
         let wide_plan = experiments::plan_for(name, &scale)
             .expect("known experiment")
             .width(SetWidth::Wide);

@@ -116,7 +116,8 @@ fn save_csv(out_dir: &Path, name: &str, table: &TextTable) -> bool {
 /// RNG streams — and the rendered tables must be byte-identical
 /// (`toxic_deterministic`). Conservation: every timing run already
 /// asserts its per-link ledger at end of run, and a direct harsh-chain
-/// blast through a 64-node mesh [`Topology`] re-checks the ledger here
+/// blast through a 64-node mesh
+/// [`Topology`](dsp_interconnect::Topology) re-checks the ledger here
 /// on the exact severity the sweep's worst row uses
 /// (`link_reconciled`). Returns the rendered table and the
 /// `BENCH_degraded.json` payload.

@@ -19,7 +19,7 @@
 //! → `Welcome`, which carries the heartbeat interval. Every connect —
 //! initial or reconnect — runs jittered exponential backoff under one
 //! wall-clock budget (`connect_timeout_ms`), with attempts surfaced in
-//! the worker log. When TCP dies mid-run, [`Fleet::exchange`]
+//! the worker log. When TCP dies mid-run, `Fleet::exchange`
 //! reconnects, re-handshakes, and retransmits the request: the
 //! coordinator judges reports by lease id alone, so the lease is still
 //! ours, a retransmitted `CellDone` lands as a harmless `Duplicate`,

@@ -166,26 +166,16 @@ pub enum TrainingMode {
     Lazy,
 }
 
-/// How the simulator's event loop drains the timing wheel.
+/// Inert placeholder for the deleted event-dispatch knob.
 ///
-/// Both modes dispatch the exact same `(time, seq)` event sequence —
-/// the property tests in `tests/dispatch_equivalence.rs` pin every
-/// dispatched event and every report byte against each other — so the
-/// choice is purely a throughput knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The production path: each wheel slot (all events sharing one
-    /// timestamp, FIFO by push sequence) is drained wholesale into
-    /// struct-of-arrays event lanes and dispatched per-kind in tight
-    /// runs, paying one bitmap scan and one `match` per run instead of
-    /// per event.
-    #[default]
-    Batched,
-    /// The seed path: one pop, one `match`, one handler call per
-    /// event. Kept as the reference implementation the equivalence
-    /// tests compare against.
-    PerEvent,
-}
+/// The simulator has one run loop — pop one event, dispatch it — and
+/// nothing branches on this type. It survives only because `perfbench`
+/// still calls `.dispatch(plan.dispatch)`; the next benchmark change
+/// (ROADMAP open item 1) deletes it together with
+/// [`SimConfig::dispatch`], `RuntimeEvaluator::dispatch` and the
+/// `ExperimentPlan::dispatch` field.
+#[derive(Clone, Copy, Debug)]
+pub struct DispatchMode;
 
 /// Compile-time destination-set width selection for a timing
 /// simulation.
@@ -248,9 +238,6 @@ pub struct SimConfig {
     /// Predictor-training delivery (lazy inboxes by default; the eager
     /// per-arrival events survive as the reference).
     pub training: TrainingMode,
-    /// Event-loop draining strategy (batched slot drains by default;
-    /// the per-event pop loop survives as the reference).
-    pub dispatch: DispatchMode,
     /// Destination-set width selection, honored by the width-dispatch
     /// entry points ([`crate::simulate`] and friends). `System::<W>`
     /// constructors ignore it — the turbofish already chose.
@@ -275,7 +262,6 @@ impl SimConfig {
             measured_misses_per_node: 2000,
             seed: 1,
             training: TrainingMode::default(),
-            dispatch: DispatchMode::default(),
             width: SetWidth::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
@@ -311,10 +297,9 @@ impl SimConfig {
         self
     }
 
-    /// Selects the event-loop draining strategy.
+    /// Returns `self` unchanged; see [`DispatchMode`].
     #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+    pub fn dispatch(self, _: DispatchMode) -> Self {
         self
     }
 

@@ -49,8 +49,6 @@ pub use config::{
     CpuModel, DispatchMode, ProtocolKind, SetWidth, SimConfig, TargetSystem, TrainingMode,
 };
 pub use dsp_interconnect::{Topology, TopologySpec, Toxic, ToxicSpec};
-pub use queue::{
-    Event, EventBatch, EventKind, EventQueue, QueueCounters, ReferenceQueue, SlotDrain, WheelQueue,
-};
+pub use queue::{Event, QueueCounters, ReferenceQueue, WheelQueue};
 pub use report::{ClassCounts, LatencyHistogram, SimReport};
 pub use system::{simulate, simulate_with_partition, System, TracePartition};

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use super::{Event, EventBatch, QueueCounters, SlotDrain};
+use super::{Event, QueueCounters};
 
 /// Near-horizon wheel span in time units (one slot per nanosecond).
 /// Power of two so slot lookup is a mask. 4096 ns comfortably covers
@@ -50,10 +50,10 @@ impl PartialOrd for Far {
 /// A time-ordered event queue with FIFO tie-breaking, built as a
 /// two-level timing wheel.
 ///
-/// The near level is a [`WHEEL_SLOTS`]-entry array of per-nanosecond
-/// buckets covering `[cursor, cursor + WHEEL_SLOTS)`; push appends to a
-/// bucket (O(1), no comparisons) and pop finds the next non-empty
-/// bucket with a 64-slots-per-instruction bitmap scan. Events beyond
+/// The near level is a 4096-entry array of per-nanosecond buckets
+/// covering `[cursor, cursor + 4096)`; push appends to a bucket (O(1),
+/// no comparisons) and pop finds the next non-empty bucket with a
+/// 64-slots-per-instruction bitmap scan. Events beyond
 /// the horizon wait in an overflow binary heap — the far level — and
 /// are promoted into the wheel when the cursor reaches within a horizon
 /// of them. In the simulator's steady state nearly every event lands
@@ -171,109 +171,6 @@ impl WheelQueue {
                 }
                 let (seq, event) = self.slot_pop(time);
                 return Some((time, seq, event));
-            }
-            // Wheel empty: jump the cursor to the earliest far event
-            // (one exists — len > 0) and promote a batch.
-            let top_time = self.overflow.peek().expect("len > 0").time;
-            debug_assert!(top_time >= self.cursor);
-            self.cursor = top_time;
-            self.promote_overflow();
-        }
-    }
-
-    /// Drains every event of the earliest pending timestamp into
-    /// `batch` (cleared first), in pop order. Returns `false` if the
-    /// queue is empty.
-    ///
-    /// Equivalent to calling [`WheelQueue::pop_entry`] until the time
-    /// changes — but a wheel bucket holds exactly one timestamp, so the
-    /// whole slot moves in one pass with a single bitmap-scan/cursor
-    /// advance, and the per-event pops inside a slot disappear. Events
-    /// pushed at the drained time *after* the drain carry later
-    /// sequences and surface in the next `pop_batch` at the same
-    /// cursor, exactly where per-event pops would yield them.
-    pub fn pop_batch(&mut self, batch: &mut EventBatch) -> bool {
-        match self.pop_slot(batch) {
-            SlotDrain::Empty => false,
-            SlotDrain::Single(time, seq, event) => {
-                batch.time = time;
-                batch.push(seq, event);
-                true
-            }
-            SlotDrain::Batch => true,
-        }
-    }
-
-    /// Drains the earliest pending timestamp, clearing `batch` first:
-    /// a lone event comes back by value ([`SlotDrain::Single`],
-    /// skipping lane formation entirely — the common case), while a
-    /// plural slot fills `batch` in pop order ([`SlotDrain::Batch`]).
-    ///
-    /// Same ordering contract as [`WheelQueue::pop_batch`] (which is
-    /// this method plus folding the singleton into the batch).
-    pub fn pop_slot(&mut self, batch: &mut EventBatch) -> SlotDrain {
-        batch.clear();
-        if self.len == 0 {
-            return SlotDrain::Empty;
-        }
-        // Late events (behind the cursor) are strictly earlier than all
-        // wheel content; no bucket can share their timestamp, so the
-        // slot is the equal-time run at the top of the overflow heap.
-        if let Some(top) = self.overflow.peek() {
-            if top.time < self.cursor {
-                let first = self.overflow.pop().expect("peeked");
-                self.len -= 1;
-                self.counters.popped += 1;
-                let time = first.time;
-                if self.overflow.peek().is_none_or(|top| top.time != time) {
-                    return SlotDrain::Single(time, first.seq, first.event);
-                }
-                batch.time = time;
-                batch.push(first.seq, first.event);
-                while let Some(top) = self.overflow.peek() {
-                    if top.time != time {
-                        break;
-                    }
-                    let f = self.overflow.pop().expect("peeked");
-                    batch.push(f.seq, f.event);
-                    self.len -= 1;
-                    self.counters.popped += 1;
-                }
-                return SlotDrain::Batch;
-            }
-        }
-        loop {
-            if let Some(offset) = self.next_occupied_offset() {
-                let time = self.cursor + offset as u64;
-                if offset > 0 {
-                    // Same promotion rule as `pop_entry`: far-future
-                    // events the horizon now covers must reach their
-                    // buckets before later pushes append behind them.
-                    // Promoted times exceed `time`, so this bucket
-                    // stays the earliest and already holds every event
-                    // of its timestamp.
-                    self.cursor = time;
-                    self.promote_overflow();
-                }
-                let idx = (time & SLOT_MASK) as usize;
-                let slot = &mut self.slots[idx];
-                let drained = slot.items.len() - slot.head;
-                self.len -= drained;
-                self.counters.popped += drained as u64;
-                let drain = if drained == 1 {
-                    let (seq, event) = slot.items[slot.head];
-                    SlotDrain::Single(time, seq, event)
-                } else {
-                    batch.time = time;
-                    for &(seq, event) in &slot.items[slot.head..] {
-                        batch.push(seq, event);
-                    }
-                    SlotDrain::Batch
-                };
-                slot.items.clear();
-                slot.head = 0;
-                self.occupied[idx / 64] &= !(1 << (idx % 64));
-                return drain;
             }
             // Wheel empty: jump the cursor to the earliest far event
             // (one exists — len > 0) and promote a batch.
@@ -509,55 +406,6 @@ mod tests {
         sum.merge(&c);
         sum.merge(&c);
         assert_eq!(sum.pushed, 4);
-    }
-
-    #[test]
-    fn pop_batch_matches_per_event_pops() {
-        let build = || {
-            let mut q = WheelQueue::new();
-            q.push(5, Event::CpuIssue { node: 0 });
-            q.push(5, Event::CpuIssue { node: 1 });
-            q.push(5, Event::Inject { req: 7 });
-            q.push(5, Event::CpuIssue { node: 2 });
-            q.push(9, Event::Complete { req: 1 });
-            q.push(WHEEL_SLOTS as u64 * 2 + 3, Event::Complete { req: 2 });
-            q.push(
-                WHEEL_SLOTS as u64 * 2 + 3,
-                Event::Ordered { req: 2, attempt: 1 },
-            );
-            q
-        };
-        let mut per_event = build();
-        let mut batched = build();
-        let mut batch = EventBatch::new();
-        let mut flat = Vec::new();
-        while batched.pop_batch(&mut batch) {
-            flat.extend(batch.iter());
-        }
-        let popped: Vec<_> = std::iter::from_fn(|| per_event.pop_entry()).collect();
-        assert_eq!(flat, popped);
-        assert_eq!(batched.counters(), per_event.counters());
-        batched.counters().assert_reconciled();
-    }
-
-    #[test]
-    fn pop_batch_drains_late_pushes_by_time() {
-        let mut q = WheelQueue::new();
-        q.push(100, Event::Complete { req: 0 });
-        let mut batch = EventBatch::new();
-        assert!(q.pop_batch(&mut batch));
-        assert_eq!(batch.time, 100);
-        // Late pushes behind the cursor: equal times batch together,
-        // later times wait for the next batch.
-        q.push(40, Event::Complete { req: 1 });
-        q.push(40, Event::Complete { req: 2 });
-        q.push(60, Event::Complete { req: 3 });
-        assert!(q.pop_batch(&mut batch));
-        assert_eq!((batch.time, batch.len()), (40, 2));
-        assert!(q.pop_batch(&mut batch));
-        assert_eq!((batch.time, batch.len()), (60, 1));
-        assert!(!q.pop_batch(&mut batch));
-        assert!(batch.is_empty());
     }
 
     #[test]

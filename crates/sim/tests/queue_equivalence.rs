@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use dsp_sim::{Event, EventBatch, ReferenceQueue, WheelQueue};
+use dsp_sim::{Event, ReferenceQueue, WheelQueue};
 
 /// Wheel horizon (mirrors `WHEEL_SLOTS` in the implementation): the
 /// strategies below straddle it deliberately.
@@ -36,8 +36,9 @@ fn op_strategy(max_delta: u64) -> impl Strategy<Value = Op> {
 
 /// Replays `ops` against both queues, anchoring push times to the last
 /// *popped* time plus the op's delta (like the simulator scheduling
-/// from `now`), and asserts every pop matches. Returns how many pops
-/// produced an event.
+/// from `now`), and asserts every `pop_entry` — the call the
+/// simulator's run loop makes — matches, sequence included. Returns
+/// how many pops produced an event.
 fn check_equivalence(ops: &[Op]) -> usize {
     let mut wheel = WheelQueue::new();
     let mut heap = ReferenceQueue::new();
@@ -51,10 +52,10 @@ fn check_equivalence(ops: &[Op]) -> usize {
                 heap.push(time, Event::Complete { req: tag });
             }
             Op::Pop => {
-                let a = wheel.pop();
-                let b = heap.pop();
+                let a = wheel.pop_entry();
+                let b = heap.pop_entry();
                 assert_eq!(a, b, "pop diverged after {popped} agreeing pops");
-                if let Some((t, _)) = a {
+                if let Some((t, _, _)) = a {
                     now = t;
                     popped += 1;
                 }
@@ -62,91 +63,13 @@ fn check_equivalence(ops: &[Op]) -> usize {
         }
         assert_eq!(wheel.len(), heap.len());
         assert_eq!(wheel.is_empty(), heap.is_empty());
+        wheel.counters().assert_reconciled();
     }
     // Drain both: the full residual order must agree too.
     loop {
-        let a = wheel.pop();
-        let b = heap.pop();
-        assert_eq!(a, b, "drain diverged");
-        if a.is_none() {
-            break;
-        }
-        popped += 1;
-    }
-    popped
-}
-
-/// Replays `ops` against a batch-drained wheel and a per-event
-/// reference heap: each `Pop` takes the next event from the buffered
-/// [`EventBatch`] (refilled via [`WheelQueue::pop_batch`] when empty)
-/// and must match `ReferenceQueue::pop_entry` exactly — the flattened
-/// batch stream is the per-event stream. Also checks the batch-local
-/// invariants (single timestamp per batch, run list consistent with
-/// the lanes) and that the wheel's counters reconcile throughout.
-fn check_batch_equivalence(ops: &[Op]) -> usize {
-    let mut wheel = WheelQueue::new();
-    let mut heap = ReferenceQueue::new();
-    let mut batch = EventBatch::new();
-    let mut buffered: Vec<(u64, u64, Event)> = Vec::new();
-    let mut cursor = 0usize;
-    let mut now = 0u64;
-    let mut popped = 0usize;
-    for op in ops {
-        match *op {
-            Op::Push { delta, tag } => {
-                let time = now.saturating_add(delta);
-                wheel.push(time, Event::Complete { req: tag });
-                heap.push(time, Event::Complete { req: tag });
-            }
-            Op::Pop => {
-                if cursor == buffered.len() {
-                    buffered.clear();
-                    cursor = 0;
-                    if wheel.pop_batch(&mut batch) {
-                        let run_total: u32 = batch.runs.iter().map(|&(_, n)| n).sum();
-                        assert_eq!(run_total as usize, batch.len(), "run list out of sync");
-                        buffered.extend(batch.iter());
-                        assert!(
-                            buffered.iter().all(|&(t, _, _)| t == batch.time),
-                            "batch mixed timestamps"
-                        );
-                    }
-                }
-                let a = if cursor < buffered.len() {
-                    let entry = buffered[cursor];
-                    cursor += 1;
-                    Some(entry)
-                } else {
-                    None
-                };
-                let b = heap.pop_entry();
-                assert_eq!(a, b, "batched pop diverged after {popped} agreeing pops");
-                if let Some((t, _, _)) = a {
-                    now = t;
-                    popped += 1;
-                }
-            }
-        }
-        wheel.counters().assert_reconciled();
-        assert_eq!(wheel.len() + buffered.len() - cursor, heap.len());
-    }
-    loop {
-        if cursor == buffered.len() {
-            buffered.clear();
-            cursor = 0;
-            if wheel.pop_batch(&mut batch) {
-                buffered.extend(batch.iter());
-            }
-        }
-        let a = if cursor < buffered.len() {
-            let entry = buffered[cursor];
-            cursor += 1;
-            Some(entry)
-        } else {
-            None
-        };
+        let a = wheel.pop_entry();
         let b = heap.pop_entry();
-        assert_eq!(a, b, "batched drain diverged");
+        assert_eq!(a, b, "drain diverged");
         if a.is_none() {
             break;
         }
@@ -191,33 +114,6 @@ proptest! {
     ) {
         check_equivalence(&ops);
     }
-
-    /// Batch draining flattens to the per-event order: simulator-like
-    /// schedules popped through `pop_batch` + `EventBatch::iter` match
-    /// the reference heap event for event.
-    #[test]
-    fn batch_drain_matches_near_horizon(
-        ops in proptest::collection::vec(op_strategy(500), 1..600)
-    ) {
-        check_batch_equivalence(&ops);
-    }
-
-    /// Dense equal-time bursts drain as one batch whose lane order is
-    /// the push order.
-    #[test]
-    fn batch_drain_matches_equal_time_bursts(
-        ops in proptest::collection::vec(op_strategy(2), 1..600)
-    ) {
-        check_batch_equivalence(&ops);
-    }
-
-    /// Overflow promotion feeds batches in (time, seq) order too.
-    #[test]
-    fn batch_drain_matches_far_future_promotion(
-        ops in proptest::collection::vec(op_strategy(HORIZON * 3), 1..400)
-    ) {
-        check_batch_equivalence(&ops);
-    }
 }
 
 /// Deterministic interleaving that forces every wheel regime in one
@@ -242,9 +138,4 @@ fn mixed_regimes_fixed_trace() {
     }
     let popped = check_equivalence(&ops);
     assert!(popped > 200, "trace exercised both levels ({popped} pops)");
-    assert_eq!(
-        check_batch_equivalence(&ops),
-        popped,
-        "batch draining saw a different event count"
-    );
 }

@@ -17,8 +17,9 @@
 //!    equal, so the experiment goldens cannot drift.
 //!
 //! The property tests sweep protocols (every policy family, both
-//! multicast and predictive-directory), node counts up to 64, CPU
-//! models, and seeds.
+//! multicast and predictive-directory), node counts from 4 to 256,
+//! both set widths (`System<1>` at the paper's 16 nodes, as production
+//! runs it; `System<4>` for the wide machines), CPU models, and seeds.
 
 use std::sync::{Arc, Mutex};
 
@@ -31,31 +32,31 @@ use dsp_types::{DestSet, SystemConfig};
 
 /// One recorded predictor observation.
 #[derive(Clone, Debug, PartialEq)]
-enum Call {
-    Predict(PredictQuery, DestSet),
-    Train(TrainEvent),
+enum Call<const W: usize> {
+    Predict(PredictQuery<W>, DestSet<W>),
+    Train(TrainEvent<W>),
 }
 
 /// One node's shared observation log.
-type CallLog = Arc<Mutex<Vec<Call>>>;
+type CallLog<const W: usize> = Arc<Mutex<Vec<Call<W>>>>;
 
 /// Decorator that logs every call and delegates to the wrapped policy.
 /// `train_batch` is inherited from the trait default, so batched drains
 /// log exactly like the eager per-event calls they replace.
 #[derive(Debug)]
-struct Recorder {
-    inner: Box<dyn DestSetPredictor>,
-    log: CallLog,
+struct Recorder<const W: usize> {
+    inner: Box<dyn DestSetPredictor<W>>,
+    log: CallLog<W>,
 }
 
-impl DestSetPredictor for Recorder {
-    fn predict(&mut self, query: &PredictQuery) -> DestSet {
+impl<const W: usize> DestSetPredictor<W> for Recorder<W> {
+    fn predict(&mut self, query: &PredictQuery<W>) -> DestSet<W> {
         let result = self.inner.predict(query);
         self.log.lock().unwrap().push(Call::Predict(*query, result));
         result
     }
 
-    fn train(&mut self, event: &TrainEvent) {
+    fn train(&mut self, event: &TrainEvent<W>) {
         self.log.lock().unwrap().push(Call::Train(*event));
         self.inner.train(event);
     }
@@ -73,21 +74,22 @@ impl DestSetPredictor for Recorder {
     }
 }
 
-/// Runs one simulation in `mode` with recording predictors, returning
-/// the report and each node's observation sequence.
-fn run_recorded(
+/// Runs one simulation at set width `W` in `mode` with recording
+/// predictors, returning the report and each node's observation
+/// sequence.
+fn run_recorded<const W: usize>(
     sys: &SystemConfig,
     spec: &WorkloadSpec,
     sim: SimConfig,
     mode: TrainingMode,
-) -> (dsp_sim::SimReport, Vec<Vec<Call>>) {
-    let mut system = System::<4>::new(
+) -> (dsp_sim::SimReport, Vec<Vec<Call<W>>>) {
+    let mut system = System::<W>::new(
         sys,
         TargetSystem::isca03_default(),
         spec,
         sim.training(mode),
     );
-    let logs: Arc<Mutex<Vec<CallLog>>> = Arc::default();
+    let logs: Arc<Mutex<Vec<CallLog<W>>>> = Arc::default();
     {
         let logs = Arc::clone(&logs);
         system.instrument_predictors(move |_, inner| {
@@ -97,7 +99,7 @@ fn run_recorded(
         });
     }
     let report = system.run();
-    let calls: Vec<Vec<Call>> = logs
+    let calls: Vec<Vec<Call<W>>> = logs
         .lock()
         .unwrap()
         .iter()
@@ -106,10 +108,11 @@ fn run_recorded(
     (report, calls)
 }
 
-/// Asserts both modes agree for one configuration.
-fn check_equivalence(sys: &SystemConfig, spec: &WorkloadSpec, sim: SimConfig) {
-    let (eager_report, eager_calls) = run_recorded(sys, spec, sim.clone(), TrainingMode::Eager);
-    let (lazy_report, lazy_calls) = run_recorded(sys, spec, sim.clone(), TrainingMode::Lazy);
+/// Asserts both modes agree for one configuration at set width `W`.
+fn check_equivalence<const W: usize>(sys: &SystemConfig, spec: &WorkloadSpec, sim: SimConfig) {
+    let (eager_report, eager_calls) =
+        run_recorded::<W>(sys, spec, sim.clone(), TrainingMode::Eager);
+    let (lazy_report, lazy_calls) = run_recorded::<W>(sys, spec, sim.clone(), TrainingMode::Lazy);
     assert_eq!(
         eager_report, lazy_report,
         "reports diverged for {:?}",
@@ -170,7 +173,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The paper's 16-node machine across protocols, policies,
-    /// workloads, CPU models, and seeds.
+    /// workloads, CPU models, and seeds, at the single-word width
+    /// production runs it with.
     #[test]
     fn isca03_machines_match(
         protocol in protocol_strategy(),
@@ -187,21 +191,31 @@ proptest! {
             CpuModel::Simple
         };
         let sim = SimConfig::new(protocol).cpu(cpu).misses(warmup, 120).seed(seed);
-        check_equivalence(&sys, &spec, sim);
+        check_equivalence::<1>(&sys, &spec, sim);
     }
 
-    /// Wide machines: fan-out past one `DestSet` word, heavier inbox
-    /// pressure (bursts spill past the inline ring).
+    /// Wide machines up to the 256-node scaling study: fan-out past
+    /// one `DestSet` word, heavier inbox pressure (bursts spill past
+    /// the inline ring).
     #[test]
     fn wide_machines_match(
         protocol in protocol_strategy(),
-        nodes in prop_oneof![Just(4usize), Just(32usize), Just(64usize)],
+        nodes in prop_oneof![
+            Just(4usize),
+            Just(32usize),
+            Just(64usize),
+            Just(128usize),
+            Just(256usize)
+        ],
         seed in 1u64..500,
     ) {
         let sys = SystemConfig::builder().num_nodes(nodes).build().expect("valid");
         let spec = WorkloadSpec::preset(Workload::Oltp, &sys).scaled(1.0 / 256.0);
-        let sim = SimConfig::new(protocol).misses(10, 60).seed(seed);
-        check_equivalence(&sys, &spec, sim);
+        // Recorded training grows with nodes × fan-out per miss, so
+        // the 128- and 256-node machines run shorter windows.
+        let (warmup, measured) = if nodes > 64 { (2, 5) } else { (10, 60) };
+        let sim = SimConfig::new(protocol).misses(warmup, measured).seed(seed);
+        check_equivalence::<4>(&sys, &spec, sim);
     }
 }
 
@@ -216,13 +230,13 @@ fn reissue_heavy_runs_match() {
         let sim = SimConfig::new(ProtocolKind::Multicast(PredictorConfig::always_minimal()))
             .misses(50, 300)
             .seed(seed);
-        check_equivalence(&sys, &spec, sim);
+        check_equivalence::<4>(&sys, &spec, sim);
     }
     // Sticky-Spatial is the one policy that trains on reissues.
     let sim = SimConfig::new(ProtocolKind::Multicast(PredictorConfig::sticky_spatial(1)))
         .misses(50, 300)
         .seed(7);
-    check_equivalence(&sys, &spec, sim);
+    check_equivalence::<4>(&sys, &spec, sim);
 }
 
 /// Protocols without predictors are untouched by the training mode.
